@@ -1,6 +1,6 @@
 // A1 (ablation) — bandwidth: what Congested-Clique[B] buys.
 //
-// DESIGN.md lists the bandwidth ladder as a design choice to ablate: the
+// The bandwidth ladder is a design choice worth ablating: the
 // paper uses B = log n (Thm 1.1), log^3 n (Thm 7.1's 7-approx), and
 // log^4 n (Thm 8.1).  This sweep runs the same pipeline under increasing
 // per-link bandwidth and reports how simulated rounds fall and which

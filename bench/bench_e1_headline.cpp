@@ -7,8 +7,8 @@
 // reports simulated rounds plus claimed and measured stretch; the shape
 // to check is that the new algorithm's measured stretch stays constant
 // while its round count grows only triply-logarithmically (at simulable
-// n the asymptotic round advantage over exact matmul is not yet visible —
-// see EXPERIMENTS.md).
+// n the asymptotic round advantage over exact matmul is not yet
+// visible).
 #include "bench_helpers.hpp"
 
 namespace {

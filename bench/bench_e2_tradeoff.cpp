@@ -3,7 +3,7 @@
 // Paper claim: for any t >= 1, an O(log^{2^-t} n)-approximation in O(t)
 // rounds.  The sweep varies the reduction budget t and reports the
 // claimed and measured stretch next to the theoretical shape
-// log^{2^-t} n.  Note the regime effect discussed in EXPERIMENTS.md: at
+// log^{2^-t} n.  Note the regime effect: at
 // simulable n the O(log n) bootstrap is already below the constant 7 a
 // reduction must pay, so the claimed factor saturates quickly — the
 // doubly-exponential *shape* column shows what the formula predicts at

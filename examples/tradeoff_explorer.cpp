@@ -43,7 +43,7 @@ int main(int argc, char** argv)
         }
     }
     std::printf("\nnote: at simulable n the guarantee saturates at the constant-factor\n"
-                "regime quickly (see EXPERIMENTS.md, E2); the shape column shows the\n"
+                "regime quickly (bench_e2_tradeoff measures it); the shape column shows the\n"
                 "asymptotic prediction that distinguishes budgets at scale.\n");
     return 0;
 }

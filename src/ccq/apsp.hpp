@@ -40,8 +40,9 @@
 //             (obs/perf.hpp), and rate-limited structured stderr
 //             logging (obs/log.hpp) — see docs/OBSERVABILITY.md
 //
-// See DESIGN.md for details and EXPERIMENTS.md for the measured
-// reproduction of every quantitative claim.
+// See README.md for the build-and-serve workflow and bench/ for the
+// measured reproduction of each quantitative claim (one Google Benchmark
+// binary per experiment).
 #ifndef CCQ_APSP_HPP
 #define CCQ_APSP_HPP
 

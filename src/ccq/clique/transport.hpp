@@ -43,8 +43,9 @@ struct CostModel {
     /// distribution phase + one delivery phase).
     double lenzen_round_factor = 2.0;
 
-    /// Substituted primitives charge the cited O(1)-round bounds
-    /// (DESIGN.md "Documented substitutions").
+    /// Substituted primitives charge the cited O(1)-round bounds (the
+    /// substitutes are described in spanner/baswana_sen.hpp and
+    /// mst/boruvka.hpp).
     double constant_round_spanner_rounds = 4.0; ///< CZ22 spanner construction
     double constant_round_mst_rounds = 4.0;     ///< Nowicki MST
 

@@ -12,7 +12,7 @@
 
 namespace ccq {
 
-/// Parameter schedules (see DESIGN.md "Parameter profiles").
+/// Parameter schedules.
 ///
 /// `paper` evaluates the literal asymptotic formulas (with safe clamps);
 /// at simulable n these often collapse into the degenerate branches the

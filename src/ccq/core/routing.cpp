@@ -1,9 +1,13 @@
 #include "ccq/core/routing.hpp"
 
-#include <queue>
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <utility>
 
-#include "ccq/graph/exact.hpp"
+#include "ccq/obs/trace.hpp"
 
 namespace ccq {
 
@@ -25,44 +29,152 @@ std::vector<NodeId> RoutingTables::route(NodeId from, NodeId to) const
     return path;
 }
 
-RoutingTables build_routing_tables(const Graph& backbone)
-{
-    CCQ_EXPECT(!backbone.is_directed(), "build_routing_tables: undirected backbone required");
-    const int n = backbone.node_count();
-    std::vector<NodeId> next(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), -1);
+namespace {
 
-    // One Dijkstra per destination over the backbone; the parent pointers
-    // toward the destination are exactly the next hops.  (Each node can
-    // do this locally once the backbone is broadcast.)
-    for (NodeId dest = 0; dest < n; ++dest) {
-        std::vector<Weight> dist(static_cast<std::size_t>(n), kInfinity);
-        std::vector<NodeId> toward(static_cast<std::size_t>(n), -1);
-        dist[static_cast<std::size_t>(dest)] = 0;
-        using Item = std::pair<Weight, NodeId>;
-        std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
-        queue.emplace(0, dest);
-        while (!queue.empty()) {
-            const auto [d, u] = queue.top();
-            queue.pop();
-            if (d != dist[static_cast<std::size_t>(u)]) continue;
-            for (const Edge& e : backbone.neighbors(u)) {
+/// Destinations per strip: each task fills an n x kStripWidth block of
+/// next hops, then copies it into the row-major table one row segment at
+/// a time instead of striding n cells per destination.
+constexpr int kStripWidth = 16;
+
+/// Monotone integer priority queue (radix heap): Dijkstra never pushes
+/// a key below the last one popped, so items are bucketed by the highest
+/// bit in which they differ from it.  Each item moves down at most 64
+/// buckets, and there are no data-dependent sift branches, which is what
+/// makes a binary heap's pops slow here.  Equal keys may pop in any
+/// order; the next hops below do not depend on it.
+class RadixHeap {
+public:
+    using Item = std::pair<Weight, NodeId>;
+
+    void clear()
+    {
+        for (std::vector<Item>& bucket : buckets_) bucket.clear();
+        last_ = 0;
+        size_ = 0;
+    }
+
+    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+
+    void push(Weight key, NodeId node)
+    {
+        buckets_[bucket_of(key)].emplace_back(key, node);
+        ++size_;
+    }
+
+    [[nodiscard]] Item pop()
+    {
+        if (buckets_[0].empty()) {
+            // Advance to the smallest key of the first non-empty bucket
+            // and redistribute that bucket below it.
+            std::size_t i = 1;
+            while (buckets_[i].empty()) ++i;
+            std::vector<Item>& bucket = buckets_[i];
+            last_ = std::min_element(bucket.begin(), bucket.end())->first;
+            for (const Item& item : bucket) buckets_[bucket_of(item.first)].push_back(item);
+            bucket.clear();
+        }
+        const Item item = buckets_[0].back();
+        buckets_[0].pop_back();
+        --size_;
+        return item;
+    }
+
+private:
+    [[nodiscard]] std::size_t bucket_of(Weight key) const noexcept
+    {
+        return static_cast<std::size_t>(
+            std::bit_width(static_cast<std::uint64_t>(key) ^ static_cast<std::uint64_t>(last_)));
+    }
+
+    std::array<std::vector<Item>, 65> buckets_;
+    Weight last_ = 0;
+    std::size_t size_ = 0;
+};
+
+/// One Dijkstra toward a destination, with buffers reused across
+/// destinations.
+class TowardSearch {
+public:
+    explicit TowardSearch(const Graph& backbone)
+        : backbone_(backbone),
+          dist_(static_cast<std::size_t>(backbone.node_count())),
+          toward_(static_cast<std::size_t>(backbone.node_count()))
+    {
+    }
+
+    /// Afterwards toward(u) is the smallest-id neighbor x of u with
+    /// w(u, x) + d(x, dest) == d(u, dest), and -1 for dest itself and for
+    /// nodes that cannot reach it.
+    void run(NodeId dest)
+    {
+        std::fill(dist_.begin(), dist_.end(), kInfinity);
+        std::fill(toward_.begin(), toward_.end(), NodeId{-1});
+        dist_[static_cast<std::size_t>(dest)] = 0;
+        heap_.clear();
+        heap_.push(0, dest);
+        while (!heap_.empty()) {
+            const auto [d, u] = heap_.pop();
+            if (d != dist_[static_cast<std::size_t>(u)]) continue;
+            for (const Edge& e : backbone_.neighbors(u)) {
                 const Weight cand = saturating_add(d, e.weight);
-                Weight& cur = dist[static_cast<std::size_t>(e.to)];
-                // Deterministic tie-break by hop id keeps tables stable.
-                if (cand < cur ||
-                    (cand == cur && toward[static_cast<std::size_t>(e.to)] > u)) {
+                Weight& cur = dist_[static_cast<std::size_t>(e.to)];
+                NodeId& hop = toward_[static_cast<std::size_t>(e.to)];
+                if (cand < cur) {
                     cur = cand;
-                    toward[static_cast<std::size_t>(e.to)] = u;
-                    queue.emplace(cand, e.to);
+                    hop = u;
+                    heap_.push(cand, e.to);
+                } else if (cand == cur && hop > u) {
+                    hop = u; // deterministic tie-break by hop id
                 }
             }
         }
-        for (NodeId u = 0; u < n; ++u) {
-            if (u == dest) continue;
-            next[static_cast<std::size_t>(u) * static_cast<std::size_t>(n) +
-                 static_cast<std::size_t>(dest)] = toward[static_cast<std::size_t>(u)];
-        }
     }
+
+    [[nodiscard]] NodeId toward(NodeId u) const { return toward_[static_cast<std::size_t>(u)]; }
+
+private:
+    const Graph& backbone_;
+    std::vector<Weight> dist_;
+    std::vector<NodeId> toward_;
+    RadixHeap heap_;
+};
+
+} // namespace
+
+RoutingTables build_routing_tables(const Graph& backbone, const EngineConfig& engine)
+{
+    CCQ_EXPECT(!backbone.is_directed(), "build_routing_tables: undirected backbone required");
+    const int n = backbone.node_count();
+    const int threads = engine.resolved_threads();
+    obs::TraceSpan span("routing/build", "core",
+                        obs::Tracer::global().enabled()
+                            ? "{\"n\":" + std::to_string(n) +
+                                  ",\"arcs\":" + std::to_string(backbone.arc_count()) +
+                                  ",\"threads\":" + std::to_string(threads) + "}"
+                            : std::string());
+    const auto un = static_cast<std::size_t>(n);
+    std::vector<NodeId> next(un * un);
+
+    // One Dijkstra per destination over the backbone; the parent pointers
+    // toward the destination are exactly the next hops.  (Each node can
+    // do this locally once the backbone is broadcast.)  Destinations are
+    // independent and own disjoint columns, so strips of them run in
+    // parallel.
+    parallel_chunks(threads, 0, n, kStripWidth, [&](int begin, int end) {
+        TowardSearch search(backbone);
+        std::vector<NodeId> strip(un * kStripWidth);
+        for (int first = begin; first < end; first += kStripWidth) {
+            const auto width = static_cast<std::size_t>(std::min(kStripWidth, end - first));
+            for (std::size_t j = 0; j < width; ++j) {
+                search.run(first + static_cast<NodeId>(j));
+                for (NodeId u = 0; u < n; ++u)
+                    strip[static_cast<std::size_t>(u) * width + j] = search.toward(u);
+            }
+            for (std::size_t u = 0; u < un; ++u)
+                std::copy_n(strip.data() + u * width, width,
+                            next.data() + u * un + static_cast<std::size_t>(first));
+        }
+    });
     return RoutingTables(n, std::move(next));
 }
 

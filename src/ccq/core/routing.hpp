@@ -1,20 +1,24 @@
-// Compact routing from APSP estimates.
+// Next-hop routing tables.
 //
 // The paper motivates APSP by its "close connection to network routing"
-// (Section 1).  This layer turns the library's distance estimates into
-// actionable next-hop routing tables: every node stores, per destination,
-// the neighbor to forward to, and the guarantee is that greedy forwarding
-// terminates with a route of length at most the estimate used.
+// (Section 1).  This layer gives every node, per destination, the
+// neighbor to forward to, so greedy forwarding walks a route whose
+// length is exactly the backbone distance.
 //
-// Construction: route toward the destination along the structure that
-// produced the estimate — here, a spanner/subgraph whose edges are known
-// locally after the broadcast stage, which is exactly what the O(1)-round
-// algorithms disseminate.
+// Construction: one exact Dijkstra toward each destination over the
+// backbone graph the caller passes in (the input graph, or a spanner
+// whose edges every node knows after the broadcast stage).  Routes do
+// not depend on the distance estimate an algorithm produced.  Ties are
+// broken by node id: next_hop(u, v) is the smallest-id neighbor x of u
+// with w(u, x) + d(x, v) == d(u, v).  Destinations are independent and
+// run in parallel per EngineConfig; the tables are bitwise identical
+// for every thread count.
 #ifndef CCQ_CORE_ROUTING_HPP
 #define CCQ_CORE_ROUTING_HPP
 
 #include <vector>
 
+#include "ccq/common/parallel.hpp"
 #include "ccq/graph/graph.hpp"
 #include "ccq/matrix/dense.hpp"
 
@@ -50,6 +54,9 @@ public:
     /// reported as unreachable rather than looping or throwing.
     [[nodiscard]] std::vector<NodeId> route(NodeId from, NodeId to) const;
 
+    /// The n x n table, row-major: row u holds u's next hop per destination.
+    [[nodiscard]] const NodeId* data() const noexcept { return next_hop_.data(); }
+
 private:
     [[nodiscard]] bool valid(NodeId v) const noexcept { return v >= 0 && v < n_; }
 
@@ -61,7 +68,10 @@ private:
 /// communication graph whose edges every node knows, e.g. the broadcast
 /// spanner).  Routes followed through the tables have length exactly
 /// d_backbone(u, v), hence within the backbone's stretch of d_G.
-[[nodiscard]] RoutingTables build_routing_tables(const Graph& backbone);
+/// Destinations run on `engine.resolved_threads()` threads; threads == 1
+/// runs inline on the caller and never touches the thread pool.
+[[nodiscard]] RoutingTables build_routing_tables(const Graph& backbone,
+                                                 const EngineConfig& engine = {});
 
 /// Total length of a route under graph `g` (kInfinity for an empty or
 /// broken route).

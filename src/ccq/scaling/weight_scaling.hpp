@@ -13,7 +13,7 @@
 //   eta <= (1+eps) * l * d                     (pairs with an <= h-hop
 //                                               shortest path).
 //
-// Representation note (see DESIGN.md): the Theta(n^2) cap edges of K_i
+// Representation note: the Theta(n^2) cap edges of K_i
 // are never materialized.  Because every cap edge has the same weight and
 // exists between every pair, d_{K_i}(u,v) = min(d_{H_i}(u,v), cap), so the
 // level graph stores H_i with weights clamped to the cap and the cap is

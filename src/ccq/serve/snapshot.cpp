@@ -7,11 +7,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <type_traits>
 #include <utility>
 
 #include "ccq/common/bytes.hpp"
@@ -27,14 +29,20 @@ constexpr std::size_t kFooterBytes = 8;
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
-[[nodiscard]] std::uint64_t fnv1a(std::string_view bytes)
+/// Continues an FNV-1a hash over `bytes`, so a payload written in chunks
+/// hashes exactly like the whole payload at once.
+[[nodiscard]] std::uint64_t fnv1a_update(std::uint64_t hash, std::string_view bytes)
 {
-    std::uint64_t hash = kFnvOffset;
     for (const char c : bytes) {
         hash ^= static_cast<unsigned char>(c);
         hash *= kFnvPrime;
     }
     return hash;
+}
+
+[[nodiscard]] std::uint64_t fnv1a(std::string_view bytes)
+{
+    return fnv1a_update(kFnvOffset, bytes);
 }
 
 // --- shared payload pieces --------------------------------------------------
@@ -77,23 +85,103 @@ void encode_meta(std::string& payload, const SnapshotMeta& meta)
     return flag == 1;
 }
 
+// --- envelope ----------------------------------------------------------------
+
+void write_header(std::ostream& out, SnapshotFormat format, std::uint64_t payload_size)
+{
+    std::string header(kMagic.data(), kMagic.size());
+    put_u32(header, format_version(format));
+    put_u64(header, payload_size);
+    out.write(header.data(), static_cast<std::streamsize>(header.size()));
+}
+
+void write_footer(std::ostream& out, std::uint64_t checksum, const char* who)
+{
+    std::string footer;
+    put_u64(footer, checksum);
+    out.write(footer.data(), static_cast<std::streamsize>(footer.size()));
+    if (!out) throw snapshot_io_error(std::string(who) + ": stream write failed");
+}
+
 // --- version 1: fixed-width cells -------------------------------------------
 
-[[nodiscard]] std::string encode_payload_v1(const OracleSnapshot& snapshot)
-{
-    const int n = snapshot.meta.node_count;
-    std::string payload;
-    const std::size_t cells = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-    payload.reserve(64 + snapshot.meta.algorithm.size() + cells * (snapshot.has_routing ? 12 : 8));
+/// Streams a payload through a reused fixed-size chunk: cells are stored
+/// little-endian into the chunk, and each full chunk feeds the running
+/// checksum and then the stream, so memory stays bounded by the chunk.
+class ChunkedPayloadWriter {
+public:
+    explicit ChunkedPayloadWriter(std::ostream& out) : out_(out), chunk_(kChunkBytes) {}
 
-    encode_meta(payload, snapshot.meta);
-    for (NodeId u = 0; u < n; ++u)
-        for (NodeId v = 0; v < n; ++v) put_i64(payload, snapshot.estimate.at(u, v));
-    put_u32(payload, snapshot.has_routing ? 1 : 0);
-    if (snapshot.has_routing)
-        for (NodeId u = 0; u < n; ++u)
-            for (NodeId v = 0; v < n; ++v) put_i32(payload, snapshot.routing.next_hop(u, v));
-    return payload;
+    /// Appends `count` cells as little-endian integers of the cell width
+    /// (raw bytes when Cell is char).
+    template <class Cell>
+    void append(const Cell* cells, std::size_t count)
+    {
+        static_assert(std::is_integral_v<Cell>);
+        while (count > 0) {
+            const std::size_t take = std::min(count, room() / sizeof(Cell));
+            if (take == 0) {
+                flush();
+                continue;
+            }
+            char* dst = chunk_.data() + used_;
+            if constexpr (std::endian::native == std::endian::little) {
+                std::memcpy(dst, cells, take * sizeof(Cell));
+            } else {
+                for (std::size_t i = 0; i < take; ++i) {
+                    const auto bits = static_cast<std::make_unsigned_t<Cell>>(cells[i]);
+                    for (std::size_t b = 0; b < sizeof(Cell); ++b)
+                        dst[i * sizeof(Cell) + b] = static_cast<char>((bits >> (8 * b)) & 0xff);
+                }
+            }
+            used_ += take * sizeof(Cell);
+            cells += take;
+            count -= take;
+        }
+    }
+
+    /// Writes the buffered bytes; returns the checksum of everything so far.
+    std::uint64_t flush()
+    {
+        const std::string_view bytes(chunk_.data(), used_);
+        hash_ = fnv1a_update(hash_, bytes);
+        out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        used_ = 0;
+        return hash_;
+    }
+
+private:
+    static constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+
+    [[nodiscard]] std::size_t room() const noexcept { return chunk_.size() - used_; }
+
+    std::ostream& out_;
+    std::vector<char> chunk_;
+    std::size_t used_ = 0;
+    std::uint64_t hash_ = kFnvOffset;
+};
+
+/// Writes the v1 envelope without materializing the payload.  Its length
+/// is known upfront (meta + n^2 x i64 + u32 flag + optional n^2 x i32),
+/// so the header goes first; the bytes equal write_envelope's over the
+/// whole payload.
+void write_v1_streamed(std::ostream& out, const OracleSnapshot& snapshot)
+{
+    const auto cells = static_cast<std::size_t>(snapshot.meta.node_count) *
+                       static_cast<std::size_t>(snapshot.meta.node_count);
+    std::string meta;
+    encode_meta(meta, snapshot.meta);
+    write_header(out, SnapshotFormat::v1_raw,
+                 meta.size() + cells * 8 + 4 + (snapshot.has_routing ? cells * 4 : 0));
+
+    ChunkedPayloadWriter payload(out);
+    payload.append(meta.data(), meta.size());
+    payload.append(snapshot.estimate.data(), cells);
+    const std::uint32_t has_routing = snapshot.has_routing ? 1 : 0;
+    payload.append(&has_routing, 1);
+    if (snapshot.has_routing) payload.append(snapshot.routing.data(), cells);
+
+    write_footer(out, payload.flush(), "write_snapshot");
 }
 
 // Decoded-cell invariants, enforced by BOTH codecs at load time.  The
@@ -283,15 +371,7 @@ void decode_hop_row(std::string_view row_bytes, int n, NodeId* out)
     encode_meta(payload, snapshot.meta);
     encode_v2_rows(payload, n, snapshot.estimate.data());
     put_u32(payload, snapshot.has_routing ? 1 : 0);
-    if (snapshot.has_routing) {
-        // RoutingTables exposes per-cell access only; gather rows once.
-        std::vector<NodeId> hops(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-        for (NodeId u = 0; u < n; ++u)
-            for (NodeId v = 0; v < n; ++v)
-                hops[static_cast<std::size_t>(u) * static_cast<std::size_t>(n) +
-                     static_cast<std::size_t>(v)] = snapshot.routing.next_hop(u, v);
-        encode_v2_rows(payload, n, hops.data());
-    }
+    if (snapshot.has_routing) encode_v2_rows(payload, n, snapshot.routing.data());
     return payload;
 }
 
@@ -346,18 +426,9 @@ void decode_hop_row(std::string_view row_bytes, int n, NodeId* out)
 void write_envelope(std::ostream& out, SnapshotFormat format, std::string_view payload,
                     const char* who)
 {
-    std::string header;
-    header.append(kMagic.data(), kMagic.size());
-    put_u32(header, format_version(format));
-    put_u64(header, payload.size());
-
-    std::string footer;
-    put_u64(footer, fnv1a(payload));
-
-    out.write(header.data(), static_cast<std::streamsize>(header.size()));
+    write_header(out, format, payload.size());
     out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    out.write(footer.data(), static_cast<std::streamsize>(footer.size()));
-    if (!out) throw snapshot_io_error(std::string(who) + ": stream write failed");
+    write_footer(out, fnv1a(payload), who);
 }
 
 struct Envelope {
@@ -473,9 +544,10 @@ void write_snapshot(std::ostream& out, const OracleSnapshot& snapshot, SnapshotF
     CCQ_EXPECT(format == SnapshotFormat::v1_raw || format == SnapshotFormat::v2_compressed,
                "write_snapshot: dense snapshots are v1 or v2 (v3 is write_sparse_snapshot)");
 
-    const std::string payload = format == SnapshotFormat::v1_raw ? encode_payload_v1(snapshot)
-                                                                 : encode_payload_v2(snapshot);
-    write_envelope(out, format, payload, "write_snapshot");
+    if (format == SnapshotFormat::v1_raw)
+        write_v1_streamed(out, snapshot);
+    else
+        write_envelope(out, format, encode_payload_v2(snapshot), "write_snapshot");
 }
 
 OracleSnapshot read_snapshot(std::istream& in)

@@ -5,8 +5,8 @@
 // bullet).  We substitute the classic Baswana–Sen clustering algorithm,
 // which constructs exactly that object (same stretch, same size class,
 // w.h.p.); only the internal round count of the construction differs,
-// which the composed algorithms treat as O(1) via the cost model
-// (DESIGN.md "Documented substitutions").
+// which the composed algorithms charge as O(1) rounds via the cost model
+// (CostModel::constant_round_spanner_rounds).
 #ifndef CCQ_SPANNER_BASWANA_SEN_HPP
 #define CCQ_SPANNER_BASWANA_SEN_HPP
 

@@ -31,7 +31,7 @@ struct SubgraphApspResult {
 /// broadcast.  `transport` belongs to the ambient clique doing the
 /// broadcasting.  Broadcast rounds are charged at the cited CZ22 spanner
 /// size O(N^{1+1/b}) when the Baswana–Sen substitute overshoots it
-/// (DESIGN.md, documented substitutions).
+/// (the substitution is described in spanner/baswana_sen.hpp).
 [[nodiscard]] SubgraphApspResult apsp_via_spanner(const Graph& sub, int b, Rng& rng,
                                                   CliqueTransport& transport,
                                                   std::string_view phase,

@@ -1,6 +1,14 @@
 // Tests for the routing-table layer: next-hop correctness, loop freedom,
-// and stretch guarantees when routing along a spanner backbone.
+// stretch guarantees when routing along a spanner backbone, the
+// smallest-id tie-break, and bitwise identity across thread counts.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <string>
+#include <thread>
+#include <utility>
 
 #include "ccq/core/routing.hpp"
 #include "ccq/spanner/baswana_sen.hpp"
@@ -132,6 +140,104 @@ TEST(Routing, BoundsChecked)
     EXPECT_THROW((void)tables.next_hop(0, 5), check_error);
     EXPECT_THROW((void)tables.route(-1, 0), check_error);
     EXPECT_THROW((void)build_routing_tables(Graph::directed(3)), check_error);
+}
+
+/// Backbones that stress the routing build: random sparse and geometric
+/// weights, a unit-weight grid (many tied shortest paths), a disconnected
+/// graph (-1 hops), and graphs smaller than the thread counts below.
+std::vector<std::pair<std::string, Graph>> routing_backbones()
+{
+    std::vector<std::pair<std::string, Graph>> graphs;
+    Rng rng(21);
+    graphs.emplace_back("er_sparse", make_family_instance(GraphFamily::erdos_renyi_sparse, 150,
+                                                          WeightRange{1, 100}, rng));
+    graphs.emplace_back("geometric", make_family_instance(GraphFamily::geometric, 150,
+                                                          WeightRange{1, 100}, rng));
+    graphs.emplace_back("unit_grid", grid_graph(11, 13, WeightRange{1, 1}, rng));
+    Graph split = Graph::undirected(40); // two components plus isolated nodes
+    for (NodeId v = 0; v + 1 < 20; ++v) split.add_edge(v, v + 1, 1 + v % 3);
+    for (NodeId v = 20; v + 1 < 35; ++v) split.add_edge(v, v + 1, 2);
+    split.add_edge(20, 34, 5);
+    graphs.emplace_back("disconnected", std::move(split));
+    graphs.emplace_back("n1", Graph::undirected(1));
+    Graph tiny = Graph::undirected(3);
+    tiny.add_edge(0, 1, 1);
+    tiny.add_edge(1, 2, 1);
+    tiny.add_edge(0, 2, 2); // ties with 0-1-2
+    graphs.emplace_back("n3", std::move(tiny));
+    return graphs;
+}
+
+std::vector<NodeId> table_cells(const RoutingTables& tables)
+{
+    const auto cells = static_cast<std::size_t>(tables.size()) *
+                       static_cast<std::size_t>(tables.size());
+    return std::vector<NodeId>(tables.data(), tables.data() + cells);
+}
+
+TEST(Routing, TablesAreBitwiseIdenticalAcrossThreadCounts)
+{
+    for (const auto& [name, g] : routing_backbones()) {
+        const std::vector<NodeId> serial =
+            table_cells(build_routing_tables(g, EngineConfig::serial()));
+        for (const int threads : {2, 4, 0}) {
+            EngineConfig engine;
+            engine.threads = threads;
+            EXPECT_EQ(table_cells(build_routing_tables(g, engine)), serial)
+                << name << " threads=" << threads;
+        }
+    }
+}
+
+TEST(Routing, NextHopIsTheSmallestIdNeighborOnAShortestPath)
+{
+    // Independent of the Dijkstra: next_hop(u, d) is the smallest-id
+    // neighbor x with w(u, x) + d(x, d) == d(u, d), and -1 when u == d or
+    // d is unreachable.
+    for (const auto& [name, g] : routing_backbones()) {
+        const RoutingTables tables = build_routing_tables(g);
+        const DistanceMatrix exact = exact_apsp(g);
+        const int n = g.node_count();
+        for (NodeId u = 0; u < n; ++u) {
+            for (NodeId d = 0; d < n; ++d) {
+                NodeId expected = -1;
+                if (u != d && is_finite(exact.at(u, d)))
+                    for (const Edge& e : g.neighbors(u))
+                        if (saturating_add(e.weight, exact.at(e.to, d)) == exact.at(u, d) &&
+                            (expected == -1 || e.to < expected))
+                            expected = e.to;
+                ASSERT_EQ(tables.next_hop(u, d), expected) << name << " " << u << "->" << d;
+            }
+        }
+    }
+}
+
+TEST(Routing, SerialConfigNeverTouchesThePool)
+{
+    // Occupy the shared pool with a job that holds it until released.  A
+    // routing build that submitted work to the pool would block behind
+    // it; a serial build must finish inline on the calling thread.
+    std::atomic<int> entered{0};
+    std::atomic<bool> release{false};
+    std::thread holder([&] {
+        ThreadPool::shared().run(2, 2, [&](int) {
+            entered.fetch_add(1);
+            while (!release.load()) std::this_thread::yield();
+        });
+    });
+    while (entered.load() == 0) std::this_thread::yield();
+
+    Rng rng(4);
+    const Graph g =
+        make_family_instance(GraphFamily::erdos_renyi_sparse, 96, WeightRange{1, 50}, rng);
+    std::future<RoutingTables> build = std::async(std::launch::async, [&] {
+        return build_routing_tables(g, EngineConfig::serial());
+    });
+    const bool finished = build.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+    release.store(true);
+    holder.join();
+    ASSERT_TRUE(finished) << "a serial routing build waited on the busy thread pool";
+    EXPECT_EQ(table_cells(build.get()), table_cells(build_routing_tables(g)));
 }
 
 } // namespace

@@ -5,10 +5,12 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <thread>
 
+#include "ccq/common/bytes.hpp"
 #include "ccq/core/baselines.hpp"
 #include "ccq/core/routing.hpp"
 #include "ccq/serve/query_engine.hpp"
@@ -39,16 +41,24 @@ std::string to_bytes(const OracleSnapshot& snapshot, SnapshotFormat codec = Snap
     return out.str();
 }
 
+/// FNV-1a 64 of a whole byte string (the pinned constants hash whole files).
+std::uint64_t fnv1a_of(std::string_view bytes)
+{
+    std::uint64_t hash = 14695981039346656037ULL;
+    for (const char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 1099511628211ULL;
+    }
+    return hash;
+}
+
 /// Recomputes the trailing FNV-1a checksum after a payload mutation, so
 /// a test exercises structural validation instead of checksum rejection.
 void rehash(std::string& bytes)
 {
     const std::size_t header_size = 8 + 4 + 8;
-    std::uint64_t hash = 14695981039346656037ULL;
-    for (std::size_t i = header_size; i < bytes.size() - 8; ++i) {
-        hash ^= static_cast<unsigned char>(bytes[i]);
-        hash *= 1099511628211ULL;
-    }
+    const std::uint64_t hash = fnv1a_of(
+        std::string_view(bytes).substr(header_size, bytes.size() - 8 - header_size));
     for (int i = 0; i < 8; ++i)
         bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
             static_cast<char>((hash >> (8 * i)) & 0xff);
@@ -71,6 +81,69 @@ void expect_equal(const OracleSnapshot& a, const OracleSnapshot& b)
             for (NodeId v = 0; v < a.routing.size(); ++v)
                 EXPECT_EQ(a.routing.next_hop(u, v), b.routing.next_hop(u, v));
     }
+}
+
+/// The v1 file for `snapshot`, written out field by field with the
+/// shared byte primitives: the layout docs/SNAPSHOTS.md specifies.
+std::string reference_v1_bytes(const OracleSnapshot& snapshot)
+{
+    const SnapshotMeta& meta = snapshot.meta;
+    std::string payload;
+    put_i32(payload, meta.node_count);
+    put_u64(payload, meta.edge_count);
+    put_u32(payload, meta.directed ? 1 : 0);
+    put_i64(payload, meta.max_weight);
+    put_string(payload, meta.algorithm);
+    put_f64(payload, meta.claimed_stretch);
+    put_f64(payload, meta.total_rounds);
+    put_u64(payload, meta.total_words);
+    put_u64(payload, meta.build_seed);
+    const int n = meta.node_count;
+    for (NodeId u = 0; u < n; ++u)
+        for (NodeId v = 0; v < n; ++v) put_i64(payload, snapshot.estimate.at(u, v));
+    put_u32(payload, snapshot.has_routing ? 1 : 0);
+    if (snapshot.has_routing)
+        for (NodeId u = 0; u < n; ++u)
+            for (NodeId v = 0; v < n; ++v) put_i32(payload, snapshot.routing.next_hop(u, v));
+    std::string file("CCQSNAP\n");
+    put_u32(file, 1);
+    put_u64(file, payload.size());
+    file += payload;
+    put_u64(file, fnv1a_of(payload));
+    return file;
+}
+
+/// A hand-built oracle whose v1 bytes are pinned: fixed meta, the exact
+/// distances of a 6-node graph with tied shortest paths and one isolated
+/// node (kInfinity cells, -1 hops), and its routing tables.
+OracleSnapshot pinned_snapshot(bool with_routing)
+{
+    Graph g = Graph::undirected(6);
+    g.add_edge(0, 1, 3);
+    g.add_edge(1, 2, 4);
+    g.add_edge(2, 3, 1);
+    g.add_edge(0, 3, 7); // ties with 0-1-3
+    g.add_edge(3, 4, 2);
+    g.add_edge(1, 3, 4);
+    OracleSnapshot snapshot;
+    snapshot.meta.node_count = g.node_count();
+    snapshot.meta.edge_count = g.edge_count();
+    snapshot.meta.max_weight = g.max_weight();
+    snapshot.meta.algorithm = "fixture";
+    snapshot.meta.claimed_stretch = 1.5;
+    snapshot.meta.total_rounds = 12.25;
+    snapshot.meta.total_words = 4096;
+    snapshot.meta.build_seed = 42;
+    snapshot.estimate = exact_apsp(g);
+    snapshot.has_routing = with_routing;
+    if (with_routing) snapshot.routing = build_routing_tables(g);
+    return snapshot;
+}
+
+std::string file_bytes(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
 TEST(Snapshot, RoundTripsThroughStreamsOnRandomGraphs)
@@ -123,6 +196,43 @@ TEST(Snapshot, MetaRecordsTheBuild)
     EXPECT_DOUBLE_EQ(snapshot.meta.total_rounds, result.ledger.total_rounds());
     EXPECT_EQ(snapshot.meta.total_words, result.ledger.total_words());
     EXPECT_EQ(snapshot.meta.build_seed, 77u);
+}
+
+TEST(SnapshotV1Bytes, PinnedFixtureBytesAreUnchanged)
+{
+    // Size and whole-file FNV-1a of the v1 encoding, recorded when the
+    // writer still materialized the payload; the streamed writer must
+    // reproduce them byte for byte.
+    const std::string with_routing = to_bytes(pinned_snapshot(true));
+    EXPECT_EQ(with_routing.size(), 531u);
+    EXPECT_EQ(fnv1a_of(with_routing), 0x66248e65aca22000ULL);
+    EXPECT_EQ(with_routing, reference_v1_bytes(pinned_snapshot(true)));
+
+    const std::string without_routing = to_bytes(pinned_snapshot(false));
+    EXPECT_EQ(without_routing.size(), 387u);
+    EXPECT_EQ(fnv1a_of(without_routing), 0x64fb6f5cc7563a4aULL);
+    EXPECT_EQ(without_routing, reference_v1_bytes(pinned_snapshot(false)));
+}
+
+TEST(SnapshotV1Bytes, StreamedWriterMatchesTheReferenceAcrossChunks)
+{
+    // n = 420 makes a ~2 MB payload, so both sections cross the writer's
+    // chunk boundaries; the stream and the file must hold the same bytes.
+    Rng rng(13);
+    const Graph g =
+        make_family_instance(GraphFamily::erdos_renyi_sparse, 420, WeightRange{1, 100}, rng);
+    const RoutingTables routing = build_routing_tables(g);
+    ApspResult result;
+    result.algorithm = "exact";
+    result.estimate = exact_apsp(g);
+    const OracleSnapshot snapshot = OracleSnapshot::from_result(g, result, 3, &routing);
+
+    const std::string streamed = to_bytes(snapshot);
+    EXPECT_EQ(streamed, reference_v1_bytes(snapshot));
+    const std::string path = ::testing::TempDir() + "ccq_snapshot_v1_bytes.snap";
+    save_snapshot(path, snapshot);
+    EXPECT_EQ(file_bytes(path), streamed);
+    std::remove(path.c_str());
 }
 
 TEST(Snapshot, RejectsBadMagic)

@@ -225,7 +225,7 @@ int cmd_build(Args& args)
     const auto t1 = std::chrono::steady_clock::now();
 
     std::optional<RoutingTables> routing;
-    if (with_routing) routing = build_routing_tables(g);
+    if (with_routing) routing = build_routing_tables(g, options.engine);
     const OracleSnapshot snapshot = OracleSnapshot::from_result(
         g, oracle.result(), options.seed, routing ? &*routing : nullptr);
     save_snapshot(*out, snapshot, codec);
@@ -830,7 +830,7 @@ int cmd_bench_ablation(Args& args)
         ApspOptions options;
         options.seed = seed;
         const DistanceOracle oracle(g, ApspAlgorithmKind::general, options);
-        RoutingTables routing = build_routing_tables(g);
+        RoutingTables routing = build_routing_tables(g, options.engine);
         const OracleSnapshot dense =
             OracleSnapshot::from_result(g, oracle.result(), seed, &routing);
         const std::string v1_path = (tmp_dir / (std::to_string(n) + ".v1.snap")).string();
