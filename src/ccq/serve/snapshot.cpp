@@ -18,6 +18,7 @@
 
 #include "ccq/common/bytes.hpp"
 #include "ccq/obs/trace.hpp"
+#include "ccq/serve/checksum.hpp"
 
 namespace ccq {
 namespace {
@@ -26,23 +27,15 @@ constexpr std::array<char, 8> kMagic = {'C', 'C', 'Q', 'S', 'N', 'A', 'P', '\n'}
 constexpr std::size_t kHeaderBytes = kMagic.size() + 4 + 8;
 constexpr std::size_t kFooterBytes = 8;
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-/// Continues an FNV-1a hash over `bytes`, so a payload written in chunks
-/// hashes exactly like the whole payload at once.
-[[nodiscard]] std::uint64_t fnv1a_update(std::uint64_t hash, std::string_view bytes)
+/// fnv1a_update inside a snapshot/checksum span.
+[[nodiscard]] std::uint64_t traced_fnv1a_update(std::uint64_t hash, std::string_view bytes)
 {
-    for (const char c : bytes) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= kFnvPrime;
-    }
-    return hash;
-}
-
-[[nodiscard]] std::uint64_t fnv1a(std::string_view bytes)
-{
-    return fnv1a_update(kFnvOffset, bytes);
+    obs::TraceSpan span("snapshot/checksum", "serve",
+                        obs::Tracer::global().enabled()
+                            ? "{\"bytes\":" + std::to_string(bytes.size()) + ",\"isa\":\"" +
+                                  checksum_isa() + "\"}"
+                            : std::string());
+    return fnv1a_update(hash, bytes);
 }
 
 // --- shared payload pieces --------------------------------------------------
@@ -144,7 +137,7 @@ public:
     std::uint64_t flush()
     {
         const std::string_view bytes(chunk_.data(), used_);
-        hash_ = fnv1a_update(hash_, bytes);
+        hash_ = traced_fnv1a_update(hash_, bytes);
         out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
         used_ = 0;
         return hash_;
@@ -203,40 +196,110 @@ void check_next_hop(std::int64_t value, int n)
         throw snapshot_io_error("read_snapshot: next hop out of range");
 }
 
+/// The little-endian integer of width sizeof(Cell) at `bytes`.
+template <class Cell>
+[[nodiscard]] Cell load_le(const char* bytes)
+{
+    std::make_unsigned_t<Cell> bits = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&bits, bytes, sizeof(bits));
+    } else {
+        for (std::size_t b = 0; b < sizeof(Cell); ++b)
+            bits |= static_cast<std::make_unsigned_t<Cell>>(static_cast<unsigned char>(bytes[b]))
+                    << (8 * b);
+    }
+    return static_cast<Cell>(bits);
+}
+
+/// Checks a fixed-width section of little-endian cells in one pass:
+/// the section's minimum and maximum go through `check`, which is the
+/// per-cell check (an invariant of the form lo <= cell <= hi holds for
+/// every cell iff it holds for both extremes).
+template <class Cell, class Check>
+void validate_cells(std::string_view bytes, const char* section, Check check)
+{
+    const std::size_t count = bytes.size() / sizeof(Cell);
+    obs::TraceSpan span("snapshot/validate", "serve",
+                        obs::Tracer::global().enabled()
+                            ? std::string("{\"section\":\"") + section +
+                                  "\",\"cells\":" + std::to_string(count) + "}"
+                            : std::string());
+    if (count == 0) return;
+    Cell lo = std::numeric_limits<Cell>::max();
+    Cell hi = std::numeric_limits<Cell>::min();
+    for (std::size_t i = 0; i < count; ++i) {
+        const Cell value = load_le<Cell>(bytes.data() + i * sizeof(Cell));
+        lo = std::min(lo, value);
+        hi = std::max(hi, value);
+    }
+    check(lo);
+    check(hi);
+}
+
+/// Copies a section of little-endian cells into native integers.
+template <class Cell>
+void copy_cells(Cell* out, std::string_view bytes)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(out, bytes.data(), bytes.size());
+    } else {
+        for (std::size_t i = 0; i < bytes.size() / sizeof(Cell); ++i)
+            out[i] = load_le<Cell>(bytes.data() + i * sizeof(Cell));
+    }
+}
+
+/// Where the v1 cell sections sit in the payload.
+struct V1Layout {
+    std::size_t estimate_offset = 0;
+    std::size_t routing_offset = 0;
+    bool has_routing = false;
+};
+
+/// Reads the v1 sections after the meta block, validating every cell.
+/// node_count is untrusted (FNV-1a detects accidents, not forgery), so
+/// each section's size is proven against the payload before anything
+/// n^2-sized is touched.  Both the eager decoder and MappedSnapshot use
+/// this, so they accept and reject the same files with the same errors.
+[[nodiscard]] V1Layout read_v1_layout(ByteReader& reader, int n)
+{
+    const std::uint64_t cells = static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
+    if (cells > reader.remaining() / 8)
+        throw snapshot_io_error("read_snapshot: node count exceeds payload size");
+    V1Layout layout;
+    layout.estimate_offset = reader.position();
+    validate_cells<std::int64_t>(reader.bytes(static_cast<std::size_t>(cells) * 8), "estimate",
+                                 [](std::int64_t value) { check_estimate_cell(value); });
+    layout.has_routing = decode_flag(reader, "routing flag");
+    if (layout.has_routing) {
+        if (cells > reader.remaining() / 4)
+            throw snapshot_io_error("read_snapshot: routing table exceeds payload size");
+        layout.routing_offset = reader.position();
+        validate_cells<std::int32_t>(reader.bytes(static_cast<std::size_t>(cells) * 4),
+                                     "routing",
+                                     [n](std::int32_t value) { check_next_hop(value, n); });
+    }
+    return layout;
+}
+
 [[nodiscard]] OracleSnapshot decode_payload_v1(std::string_view payload)
 {
     ByteReader reader(payload);
     OracleSnapshot snapshot;
     snapshot.meta = decode_meta(reader);
-
-    // node_count is untrusted (FNV-1a detects accidents, not forgery):
-    // prove the payload actually holds n^2 cells before allocating n^2.
     const int n = snapshot.meta.node_count;
-    const std::uint64_t cells =
-        static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
-    if (cells > reader.remaining() / 8)
-        throw snapshot_io_error("read_snapshot: node count exceeds payload size");
-    snapshot.estimate = DistanceMatrix(n);
-    for (NodeId u = 0; u < n; ++u)
-        for (NodeId v = 0; v < n; ++v) {
-            const Weight value = reader.i64();
-            check_estimate_cell(value);
-            snapshot.estimate.at(u, v) = value;
-        }
-
-    snapshot.has_routing = decode_flag(reader, "routing flag");
-    if (snapshot.has_routing) {
-        if (cells > reader.remaining() / 4)
-            throw snapshot_io_error("read_snapshot: routing table exceeds payload size");
-        std::vector<NodeId> next_hops(static_cast<std::size_t>(cells));
-        for (NodeId& hop : next_hops) {
-            hop = reader.i32();
-            check_next_hop(hop, n);
-        }
-        snapshot.routing = RoutingTables(n, std::move(next_hops));
-    }
+    const V1Layout layout = read_v1_layout(reader, n);
     if (!reader.exhausted())
         throw snapshot_io_error("read_snapshot: trailing bytes after payload");
+
+    const std::size_t cells = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+    snapshot.estimate = DistanceMatrix(n);
+    copy_cells(snapshot.estimate.data(), payload.substr(layout.estimate_offset, cells * 8));
+    snapshot.has_routing = layout.has_routing;
+    if (snapshot.has_routing) {
+        std::vector<NodeId> next_hops(cells);
+        copy_cells(next_hops.data(), payload.substr(layout.routing_offset, cells * 4));
+        snapshot.routing = RoutingTables(n, std::move(next_hops));
+    }
     return snapshot;
 }
 
@@ -253,6 +316,26 @@ void check_next_hop(std::int64_t value, int n)
 // section's blob holds at least n bytes per row — the pre-allocation
 // bound used against forged node counts.
 
+/// prev + delta with wrap-around semantics: a forged delta must reach
+/// the range check below as a deterministic (aliased) value, never as
+/// signed-overflow UB.  Unsigned wrap + the C++20 modular narrowing
+/// conversion back to int64 make the addition well-defined for every
+/// input.
+[[nodiscard]] std::int64_t wrapping_add(std::int64_t prev, std::int64_t delta)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(prev) +
+                                     static_cast<std::uint64_t>(delta));
+}
+
+/// value - prev with the same wrap-around: out-of-range cells (which
+/// the decoders then reject) encode without signed overflow, and
+/// in-range cells encode exactly as a plain subtraction would.
+[[nodiscard]] std::int64_t wrapping_sub(std::int64_t value, std::int64_t prev)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(value) -
+                                     static_cast<std::uint64_t>(prev));
+}
+
 template <class Cell>
 void encode_v2_rows(std::string& payload, int n, const Cell* cells)
 {
@@ -263,7 +346,7 @@ void encode_v2_rows(std::string& payload, int n, const Cell* cells)
         const Cell* row = cells + static_cast<std::size_t>(u) * static_cast<std::size_t>(n);
         for (int v = 0; v < n; ++v) {
             const std::int64_t value = static_cast<std::int64_t>(row[v]);
-            put_varint_i64(blob, value - prev);
+            put_varint_i64(blob, wrapping_sub(value, prev));
             prev = value;
         }
         offsets[static_cast<std::size_t>(u) + 1] = blob.size();
@@ -315,17 +398,6 @@ struct V2Section {
     section.blob_offset = reader.position();
     (void)reader.bytes(blob_size);
     return section;
-}
-
-/// prev + delta with wrap-around semantics: a forged delta must reach
-/// the range check below as a deterministic (aliased) value, never as
-/// signed-overflow UB.  Unsigned wrap + the C++20 modular narrowing
-/// conversion back to int64 make the addition well-defined for every
-/// input.
-[[nodiscard]] std::int64_t wrapping_add(std::int64_t prev, std::int64_t delta)
-{
-    return static_cast<std::int64_t>(static_cast<std::uint64_t>(prev) +
-                                     static_cast<std::uint64_t>(delta));
 }
 
 void decode_weight_row(std::string_view row_bytes, int n, Weight* out)
@@ -428,7 +500,7 @@ void write_envelope(std::ostream& out, SnapshotFormat format, std::string_view p
 {
     write_header(out, format, payload.size());
     out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    write_footer(out, fnv1a(payload), who);
+    write_footer(out, traced_fnv1a_update(kFnvOffset, payload), who);
 }
 
 struct Envelope {
@@ -473,7 +545,7 @@ struct Envelope {
     if (static_cast<std::size_t>(in.gcount()) != footer.size())
         throw snapshot_io_error(std::string(who) + ": truncated checksum");
     ByteReader footer_reader(footer);
-    if (footer_reader.u64() != fnv1a(payload))
+    if (footer_reader.u64() != traced_fnv1a_update(kFnvOffset, payload))
         throw snapshot_io_error(std::string(who) + ": checksum mismatch (corrupted snapshot)");
     return envelope;
 }
@@ -838,7 +910,8 @@ MappedSnapshot::MappedSnapshot(const std::string& path)
         // One sequential pass at open: afterwards every lazily decoded row
         // is covered by the verified checksum.
         ByteReader footer(std::string_view(payload_ + payload_size_, kFooterBytes));
-        if (footer.u64() != fnv1a(std::string_view(payload_, payload_size_)))
+        if (footer.u64() !=
+            traced_fnv1a_update(kFnvOffset, std::string_view(payload_, payload_size_)))
             throw snapshot_io_error("MappedSnapshot: checksum mismatch (corrupted snapshot)");
 
         const std::string_view payload(payload_, payload_size_);
@@ -846,38 +919,13 @@ MappedSnapshot::MappedSnapshot(const std::string& path)
         try {
             meta_ = decode_meta(reader);
             const int n = meta_.node_count;
-            const std::uint64_t cells =
-                static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
             if (version_ == ccq::format_version(SnapshotFormat::v1_raw)) {
-                if (cells > reader.remaining() / 8)
-                    throw snapshot_io_error(
-                        "read_snapshot: node count exceeds payload size");
-                v1_estimate_offset_ = reader.position();
                 // v1 cells are later read in place with no per-read
-                // validation, so the load-time invariant check happens
-                // here: one extra sequential pass over bytes the
-                // checksum pass above already paged in.
-                {
-                    ByteReader cells_reader(
-                        payload.substr(v1_estimate_offset_,
-                                       static_cast<std::size_t>(cells) * 8));
-                    for (std::uint64_t i = 0; i < cells; ++i)
-                        check_estimate_cell(cells_reader.i64());
-                }
-                (void)reader.bytes(static_cast<std::size_t>(cells) * 8);
-                has_routing_ = decode_flag(reader, "routing flag");
-                if (has_routing_) {
-                    if (cells > reader.remaining() / 4)
-                        throw snapshot_io_error(
-                            "read_snapshot: routing table exceeds payload size");
-                    v1_routing_offset_ = reader.position();
-                    ByteReader hops_reader(
-                        payload.substr(v1_routing_offset_,
-                                       static_cast<std::size_t>(cells) * 4));
-                    for (std::uint64_t i = 0; i < cells; ++i)
-                        check_next_hop(hops_reader.i32(), n);
-                    (void)reader.bytes(static_cast<std::size_t>(cells) * 4);
-                }
+                // validation, so every cell is checked here.
+                const V1Layout layout = read_v1_layout(reader, n);
+                v1_estimate_offset_ = layout.estimate_offset;
+                v1_routing_offset_ = layout.routing_offset;
+                has_routing_ = layout.has_routing;
             } else {
                 const V2Section estimate = read_v2_section(reader, n, "estimate");
                 est_row_offsets_.assign(estimate.row_offsets.begin(),

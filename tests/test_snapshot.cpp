@@ -2,11 +2,14 @@
 // gating, and corruption detection (truncation, bit flips, bad magic).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <thread>
 
@@ -672,6 +675,175 @@ TEST_F(SnapshotMmap, QueryEngineOverMmapMatchesInMemoryEngine)
             ASSERT_EQ(served.path(u, v), reference.path(u, v));
         }
         ASSERT_EQ(served.nearest_targets(u, 5), reference.nearest_targets(u, 5));
+    }
+    std::remove(path.c_str());
+}
+
+// --- multi-megabyte files ---------------------------------------------------
+//
+// The checksum kernel and the bulk cell scans only engage on large
+// inputs, so these files are several MiB: a flipped byte anywhere in
+// any section, and an out-of-range cell at either end of a section, must
+// be caught by both the eager and the mmap loader.
+
+/// A synthetic n-node oracle with routing: cells spread over the whole
+/// legal range (so v2 deltas need long varints), some unreachable.
+OracleSnapshot large_snapshot(int n, std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    OracleSnapshot snapshot;
+    snapshot.meta.node_count = n;
+    snapshot.meta.edge_count = 12345;
+    snapshot.meta.max_weight = 1000;
+    snapshot.meta.algorithm = "synthetic";
+    snapshot.meta.build_seed = seed;
+    snapshot.estimate = DistanceMatrix(n);
+    for (NodeId u = 0; u < n; ++u)
+        for (NodeId v = 0; v < n; ++v)
+            snapshot.estimate.at(u, v) =
+                rng() % 16 == 0 ? kInfinity : static_cast<Weight>(rng() % (kInfinity + 1));
+    std::vector<NodeId> hops(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+    for (NodeId& hop : hops) hop = static_cast<NodeId>(rng() % (static_cast<unsigned>(n) + 1)) - 1;
+    snapshot.has_routing = true;
+    snapshot.routing = RoutingTables(n, std::move(hops));
+    return snapshot;
+}
+
+/// File-offset ranges [begin, end) of every payload section of a dense
+/// v1 or v2 file: meta, then per matrix the cells (v1) or the row-offset
+/// table and the blob (v2), with the routing flag between the matrices.
+std::vector<std::pair<std::size_t, std::size_t>> dense_sections(const std::string& file)
+{
+    const std::size_t header = 8 + 4 + 8;
+    ByteReader reader(std::string_view(file).substr(header, file.size() - header - 8));
+    const bool v1 = file[8] == 1;
+    const int n = reader.i32();
+    (void)reader.u64();
+    (void)reader.u32();
+    (void)reader.i64();
+    (void)reader.str();
+    (void)reader.f64();
+    (void)reader.f64();
+    (void)reader.u64();
+    (void)reader.u64();
+    std::vector<std::pair<std::size_t, std::size_t>> sections;
+    const auto take = [&](std::size_t bytes) {
+        const std::size_t begin = header + reader.position();
+        (void)reader.bytes(bytes);
+        sections.emplace_back(begin, begin + bytes);
+    };
+    sections.emplace_back(header, header + reader.position());
+    const std::size_t cells = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+    const auto matrix = [&](std::size_t cell_bytes) {
+        if (v1) {
+            take(cells * cell_bytes);
+            return;
+        }
+        ByteReader offsets(std::string_view(file).substr(header + reader.position()));
+        std::uint64_t blob = 0;
+        for (int i = 0; i <= n; ++i) blob = offsets.u64();
+        take((static_cast<std::size_t>(n) + 1) * 8);
+        take(static_cast<std::size_t>(blob));
+    };
+    matrix(8);
+    take(4); // routing flag
+    matrix(4);
+    EXPECT_TRUE(reader.exhausted());
+    return sections;
+}
+
+void expect_checksum_rejection(const std::function<void()>& load, const std::string& what)
+{
+    try {
+        load();
+        ADD_FAILURE() << what << ": corrupted file accepted";
+    } catch (const snapshot_io_error& error) {
+        EXPECT_NE(std::string(error.what()).find("checksum mismatch"), std::string::npos)
+            << what << ": " << error.what();
+    }
+}
+
+TEST_F(SnapshotMmap, LargeFilesRejectAFlippedByteInEverySectionEagerAndMapped)
+{
+    const OracleSnapshot original = large_snapshot(640, 21);
+    for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed}) {
+        const std::string good = to_bytes(original, codec);
+        ASSERT_GE(good.size(), std::size_t{4} << 20) << snapshot_format_name(codec);
+        const std::string path = write_file(original, codec, "ccq_large_flip.snap");
+        for (const OracleSnapshot& loaded : {from_bytes(good), MappedSnapshot(path).materialize()}) {
+            EXPECT_EQ(loaded.meta, original.meta);
+            EXPECT_TRUE(loaded.estimate == original.estimate);
+            ASSERT_TRUE(loaded.has_routing);
+            EXPECT_TRUE(std::equal(loaded.routing.data(),
+                                   loaded.routing.data() + 640 * 640, original.routing.data()));
+        }
+        for (const auto& [begin, end] : dense_sections(good)) {
+            for (const std::size_t offset : {begin, begin + (end - begin) / 2, end - 1}) {
+                const std::string what = std::string(snapshot_format_name(codec)) +
+                                         " section [" + std::to_string(begin) + ", " +
+                                         std::to_string(end) + ") byte " + std::to_string(offset);
+                std::string corrupted = good;
+                corrupted[offset] = static_cast<char>(corrupted[offset] ^ 0xff);
+                expect_checksum_rejection([&] { (void)from_bytes(corrupted); }, what + " eager");
+                {
+                    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+                    file.seekp(static_cast<std::streamoff>(offset));
+                    file.put(corrupted[offset]);
+                }
+                expect_checksum_rejection([&] { (void)MappedSnapshot(path); }, what + " mmap");
+                {
+                    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+                    file.seekp(static_cast<std::streamoff>(offset));
+                    file.put(good[offset]);
+                }
+            }
+        }
+        std::remove(path.c_str());
+    }
+}
+
+TEST_F(SnapshotMmap, LargeV1FilesRejectOutOfRangeCellsAtEitherEndEagerAndMapped)
+{
+    // The v1 scans check each section's minimum and maximum; a bad cell
+    // at the first or last position (with a valid checksum) must still
+    // reach the range check in both loaders.
+    const int n = 640;
+    const std::size_t last = static_cast<std::size_t>(n) * static_cast<std::size_t>(n) - 1;
+    const std::string path = ::testing::TempDir() + "ccq_large_badcell.snap";
+    for (const std::size_t cell : {std::size_t{0}, last}) {
+        for (const bool hop : {false, true}) {
+            OracleSnapshot forged = large_snapshot(n, 22);
+            if (hop) {
+                std::vector<NodeId> hops(forged.routing.data(),
+                                         forged.routing.data() + last + 1);
+                hops[cell] = cell == 0 ? -2 : n;
+                forged.routing = RoutingTables(n, std::move(hops));
+            } else {
+                forged.estimate.data()[cell] = cell == 0 ? Weight{-1} : kInfinity + 1;
+            }
+            const std::string bytes = to_bytes(forged);
+            const std::string expected = hop ? "next hop out of range" : "estimate cell out of range";
+            const std::string what = std::string(hop ? "hop" : "estimate") + " cell " +
+                                     std::to_string(cell);
+            try {
+                (void)from_bytes(bytes);
+                ADD_FAILURE() << what << ": eager load accepted";
+            } catch (const snapshot_io_error& error) {
+                EXPECT_NE(std::string(error.what()).find(expected), std::string::npos)
+                    << what << ": " << error.what();
+            }
+            {
+                std::ofstream out(path, std::ios::binary);
+                out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+            }
+            try {
+                (void)MappedSnapshot(path);
+                ADD_FAILURE() << what << ": mmap open accepted";
+            } catch (const snapshot_io_error& error) {
+                EXPECT_NE(std::string(error.what()).find(expected), std::string::npos)
+                    << what << ": " << error.what();
+            }
+        }
     }
     std::remove(path.c_str());
 }
