@@ -181,8 +181,8 @@ BENCHMARK(BM_DenseMinPlusEngine)
 // kernel (speedup_vs_same_isa_wide >= 1) — all with bitwise-identical
 // output (identical == 1).
 
-/// EngineConfig{1, 64} pinned to an explicit width, so the ablation legs
-/// are immune to CCQ_KERNEL_WIDTH in the bench environment.
+/// EngineConfig{1, 64} pinned to an explicit width, so each ablation leg
+/// runs the kernel width it names.
 EngineConfig kernel_config(KernelWidth width)
 {
     EngineConfig config{1, 64};

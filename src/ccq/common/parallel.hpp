@@ -4,15 +4,14 @@
 // is untouched by anything here: this file only decides how the local
 // computation of each simulated node batch is mapped onto OS threads.
 // EngineConfig is plumbed alongside CostModel so simulated round charges
-// are identical for every {threads, block_size} setting; only wall-clock
-// changes.
+// and outputs are identical for every {threads, block_size, width,
+// sparse_skip} setting; only wall-clock changes.
 #ifndef CCQ_COMMON_PARALLEL_HPP
 #define CCQ_COMMON_PARALLEL_HPP
 
 #include <cstdint>
 #include <functional>
 #include <thread>
-#include <utility>
 
 #include "ccq/common/check.hpp"
 
@@ -30,17 +29,14 @@ namespace ccq {
 
 /// Element-width policy of the dense min-plus kernels.
 ///
-/// kAuto defers to the CCQ_KERNEL_WIDTH environment variable ("wide" |
-/// "narrow" | "auto") and otherwise behaves like kNarrowIfSafe.  kWide
-/// forces the i64 kernels unconditionally.  kNarrowIfSafe packs the
-/// product to i32 lanes whenever the engine's width rule proves the
-/// result bitwise identical (max finite A cell + max finite B cell <
-/// kInfinity32); unsafe products silently stay wide, so the setting is
-/// always correctness-neutral.
+/// kNarrowIfSafe (the default) packs the product to i32 lanes whenever
+/// the engine's width rule proves the result bitwise identical (max
+/// finite A cell + max finite B cell < kInfinity32); unsafe products
+/// silently stay wide, so the setting is always correctness-neutral.
+/// kWide forces the i64 kernels unconditionally.
 enum class KernelWidth {
-    kAuto = 0,
-    kWide,
     kNarrowIfSafe,
+    kWide,
 };
 
 /// Local-execution parameters of the min-plus engine.
@@ -53,7 +49,7 @@ enum class KernelWidth {
 struct EngineConfig {
     int threads = 0;
     int block_size = 64;
-    KernelWidth width = KernelWidth::kAuto;
+    KernelWidth width = KernelWidth::kNarrowIfSafe;
     bool sparse_skip = true;
 
     [[nodiscard]] int resolved_threads() const { return resolved_thread_count(threads); }
@@ -69,40 +65,6 @@ struct EngineConfig {
     friend bool operator==(const EngineConfig&, const EngineConfig&) = default;
 };
 
-/// What the process can see of the machine's NUMA layout, detected once
-/// from /sys/devices/system/node (no libnuma dependency).  On hosts
-/// where the topology is invisible or trivial everything degrades to a
-/// single node and pinning becomes a no-op.
-struct NumaTopology {
-    int node_count = 1;       ///< NUMA nodes visible in /sys (1 when unknown)
-    int online_cpus = 1;      ///< schedulable CPUs (hardware_concurrency)
-    bool pin_workers = false; ///< pool workers pin themselves round-robin
-};
-
-/// The cached topology.  `pin_workers` honors the CCQ_NUMA environment
-/// variable ("0" disables, "1" forces pinning even on one node — useful
-/// for tests) and otherwise turns on only for node_count > 1.
-[[nodiscard]] const NumaTopology& numa_topology() noexcept;
-
-/// True when the host exposes more than one NUMA node.
-[[nodiscard]] bool numa_available() noexcept;
-
-/// Pins the calling thread to one CPU; false if the platform refuses
-/// (never throws — affinity is an optimization, not a contract).
-bool pin_current_thread(int cpu) noexcept;
-
-/// Scheduling policy of one ThreadPool::run() call.
-///
-/// Dynamic (default): tasks are claimed first-come-first-served — best
-/// for irregular work.  Strided: task t is executed by the fixed
-/// participant (t mod participants), caller = participant 0, worker w =
-/// participant w+1 — the stable task->thread mapping the dense engine
-/// needs so first-touched C bands stay on the pages' owning node across
-/// repeated products.
-struct PoolRunOptions {
-    bool strided = false;
-};
-
 /// Small reusable pool of worker threads.
 ///
 /// One job runs at a time; the submitting thread participates in the
@@ -112,15 +74,9 @@ struct PoolRunOptions {
 /// cross-thread execution even on a single-core host) and parked on a
 /// condition variable between jobs.  Re-entrant calls from inside a job
 /// execute inline, which keeps nested engine calls deadlock-free.
-///
-/// When numa_topology().pin_workers is set, each worker pins itself to
-/// CPU (index + 1) mod online_cpus at spawn, so together with strided
-/// jobs (RunOptions) a band index maps to the same CPU — and therefore
-/// the same NUMA node — for the lifetime of the process.
+/// Tasks are claimed first-come-first-served.
 class ThreadPool {
 public:
-    using RunOptions = PoolRunOptions;
-
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
@@ -131,8 +87,7 @@ public:
     /// Runs fn(task) for task in [0, tasks), using up to `concurrency`
     /// OS threads including the caller.  Blocks until every task has
     /// finished; the first exception thrown by any task is rethrown.
-    void run(int tasks, int concurrency, const std::function<void(int)>& fn,
-             RunOptions options = {});
+    void run(int tasks, int concurrency, const std::function<void(int)>& fn);
 
     /// Workers currently spawned (for tests / introspection).
     [[nodiscard]] int worker_count() const;
@@ -143,17 +98,19 @@ private:
 
     struct Job;
     void ensure_workers(int wanted);
-    void worker_loop(int index);
+    void worker_loop();
 
     struct Impl;
     Impl* impl_ = nullptr; // created on first use (see parallel.cpp)
 };
 
-namespace detail {
-
-/// Shared implementation of parallel_chunks / parallel_chunks_pinned.
+/// Partitions [begin, end) into at most `threads` contiguous chunks whose
+/// interior boundaries are multiples of `align` (>= 1), and runs
+/// fn(chunk_begin, chunk_end) for each chunk on the shared pool.  With
+/// threads <= 1 (or a single chunk) this is a plain inline call, so serial
+/// configurations never touch the pool.
 template <class Fn>
-void chunked_run(int threads, int begin, int end, int align, bool pinned, Fn&& fn)
+void parallel_chunks(int threads, int begin, int end, int align, Fn&& fn)
 {
     CCQ_EXPECT(align >= 1, "parallel_chunks: align must be >= 1");
     const std::int64_t extent = static_cast<std::int64_t>(end) - begin;
@@ -176,33 +133,7 @@ void chunked_run(int threads, int begin, int end, int align, bool pinned, Fn&& f
         body(0);
         return;
     }
-    ThreadPool::shared().run(actual_tasks, actual_tasks, body,
-                             ThreadPool::RunOptions{pinned});
-}
-
-} // namespace detail
-
-/// Partitions [begin, end) into at most `threads` contiguous chunks whose
-/// interior boundaries are multiples of `align` (>= 1), and runs
-/// fn(chunk_begin, chunk_end) for each chunk on the shared pool.  With
-/// threads <= 1 (or a single chunk) this is a plain inline call, so serial
-/// configurations never touch the pool.
-template <class Fn>
-void parallel_chunks(int threads, int begin, int end, int align, Fn&& fn)
-{
-    detail::chunked_run(threads, begin, end, align, /*pinned=*/false, std::forward<Fn>(fn));
-}
-
-/// parallel_chunks with the strided (stable chunk->thread) schedule:
-/// chunk i always runs on participant (i mod participants), so repeated
-/// calls over the same range keep each band on the thread — and, with
-/// pinned pool workers, the NUMA node — that first touched its pages.
-/// Use for the dense engine's band loops; everything else should prefer
-/// the dynamic schedule.
-template <class Fn>
-void parallel_chunks_pinned(int threads, int begin, int end, int align, Fn&& fn)
-{
-    detail::chunked_run(threads, begin, end, align, /*pinned=*/true, std::forward<Fn>(fn));
+    ThreadPool::shared().run(actual_tasks, actual_tasks, body);
 }
 
 } // namespace ccq

@@ -19,10 +19,9 @@ class Graph;
 namespace detail {
 
 /// std::allocator that leaves value-less constructions default-
-/// initialized (i.e. uninitialized for Weight), so the engine can defer
-/// the first write of each C band to the worker thread that owns it —
-/// the NUMA first-touch policy.  Explicit fills (vector(n, value)) are
-/// unaffected.
+/// initialized (i.e. uninitialized for Weight), so a matrix whose every
+/// cell is about to be overwritten skips the fill.  Explicit fills
+/// (vector(n, value)) are unaffected.
 template <class T>
 struct uninit_allocator : std::allocator<T> {
     template <class U>
@@ -53,9 +52,9 @@ public:
         CCQ_EXPECT(n >= 0, "DistanceMatrix: negative size");
     }
 
-    /// A matrix whose cells are allocated but NOT initialized.  Only for
-    /// the engine's first-touch path: every cell must be written (by the
-    /// worker that owns its band) before any read.
+    /// A matrix whose cells are allocated but NOT initialized, for callers
+    /// that overwrite every cell before any read (the engine's band
+    /// tasks, the v1 snapshot decoder); it skips one full fill pass.
     [[nodiscard]] static DistanceMatrix uninitialized(int n)
     {
         CCQ_EXPECT(n >= 0, "DistanceMatrix: negative size");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -20,31 +19,6 @@ namespace {
 std::atomic<std::uint64_t> g_products_wide{0};
 std::atomic<std::uint64_t> g_products_narrow{0};
 std::atomic<std::uint64_t> g_products_sparse_skip{0};
-
-/// CCQ_KERNEL_WIDTH environment policy, parsed once: "wide" forces i64,
-/// "narrow" means narrow-if-safe, anything else (incl. "auto"/unset)
-/// leaves the decision to the default rule.  Consulted only when the
-/// config says kAuto, so programmatic settings (tests, ablations) win.
-[[nodiscard]] KernelWidth env_kernel_width()
-{
-    static const KernelWidth resolved = [] {
-        if (const char* env = std::getenv("CCQ_KERNEL_WIDTH")) {
-            const std::string want(env);
-            if (want == "wide") return KernelWidth::kWide;
-            if (want == "narrow") return KernelWidth::kNarrowIfSafe;
-        }
-        return KernelWidth::kAuto;
-    }();
-    return resolved;
-}
-
-[[nodiscard]] KernelWidth resolved_kernel_width(const EngineConfig& engine)
-{
-    KernelWidth width = engine.width;
-    if (width == KernelWidth::kAuto) width = env_kernel_width();
-    if (width == KernelWidth::kAuto) width = KernelWidth::kNarrowIfSafe;
-    return width;
-}
 
 struct OperandScan {
     Weight max_finite = 0;
@@ -101,7 +75,7 @@ struct OperandScan {
     plan.a_density =
         cells == 0 ? 0.0 : static_cast<double>(sa.finite_cells) / static_cast<double>(cells);
     plan.sparse_skip = engine.sparse_skip && plan.a_density < kSparseSkipThreshold;
-    plan.narrow = resolved_kernel_width(engine) != KernelWidth::kWide &&
+    plan.narrow = engine.width != KernelWidth::kWide &&
                   plan.max_a + plan.max_b < static_cast<Weight>(kInfinity32);
     return plan;
 }
@@ -220,18 +194,16 @@ DistanceMatrix min_plus_product(const DistanceMatrix& a, const DistanceMatrix& b
     const kernels::BandKernels band = kernels::band_kernels(kernels::dispatch_isa());
     (plan.narrow ? g_products_narrow : g_products_wide).fetch_add(1, std::memory_order_relaxed);
     if (plan.sparse_skip) g_products_sparse_skip.fetch_add(1, std::memory_order_relaxed);
-    // C starts uninitialized; each strided band task first-touches its
-    // own rows (fill = the kInfinity the old constructor wrote) before
-    // relaxing them, so with pinned workers the pages of band i live on
-    // the NUMA node that computes band i — for this product and, thanks
-    // to the stable strided mapping, every later one.
+    // C starts uninitialized; each band task fills its own rows with
+    // kInfinity right before relaxing them, which saves the separate
+    // full-matrix fill pass.
     DistanceMatrix c = DistanceMatrix::uninitialized(n);
     Weight* cp = c.data();
     if (plan.narrow) {
         // Narrow path: pack both operands to i32 (O(n^2), amortized by
         // the O(n^3) kernel), run the 2x-lane kernels, unpack each band
-        // back to i64 on the thread that computed it so the first touch
-        // of C's pages stays band-local.
+        // back to i64 in the task that computed it, so each C row is
+        // written exactly once.
         const std::unique_ptr<Weight32[]> a32(new Weight32[cells]);
         const std::unique_ptr<Weight32[]> b32(new Weight32[cells]);
         const std::unique_ptr<Weight32[]> c32(new Weight32[cells]);
@@ -241,7 +213,7 @@ DistanceMatrix min_plus_product(const DistanceMatrix& a, const DistanceMatrix& b
         });
         const kernels::DenseBandFn32 band32 =
             plan.sparse_skip ? band.sparse_narrow : band.dense_narrow;
-        parallel_chunks_pinned(threads, 0, n, bs, [&](int i0, int i1) {
+        parallel_chunks(threads, 0, n, bs, [&](int i0, int i1) {
             Weight32* cb = c32.get() + static_cast<std::size_t>(i0) * n;
             std::fill(cb, c32.get() + static_cast<std::size_t>(i1) * n, kInfinity32);
             band32(a32.get(), b32.get(), c32.get(), n, i0, i1, bs);
@@ -256,7 +228,7 @@ DistanceMatrix min_plus_product(const DistanceMatrix& a, const DistanceMatrix& b
     const Weight* ap = a.data();
     const Weight* bp = b.data();
     const kernels::DenseBandFn band64 = plan.sparse_skip ? band.sparse_wide : band.dense_wide;
-    parallel_chunks_pinned(threads, 0, n, bs, [&](int i0, int i1) {
+    parallel_chunks(threads, 0, n, bs, [&](int i0, int i1) {
         std::fill(cp + static_cast<std::size_t>(i0) * n,
                   cp + static_cast<std::size_t>(i1) * n, kInfinity);
         band64(ap, bp, cp, n, i0, i1, bs);

@@ -34,8 +34,8 @@ struct ProductPlan {
 };
 
 /// The plan min_plus_product would execute for these operands — the
-/// width rule (`max_a + max_b < kInfinity32`, gated by engine.width /
-/// CCQ_KERNEL_WIDTH) and the sparse-skip threshold decision.
+/// width rule (`max_a + max_b < kInfinity32`, gated by engine.width)
+/// and the sparse-skip threshold decision.
 [[nodiscard]] ProductPlan preview_product_plan(const DistanceMatrix& a,
                                                const DistanceMatrix& b,
                                                const EngineConfig& engine);
@@ -54,12 +54,11 @@ struct EngineCounters {
 
 /// Blocked parallel C[i,j] = min_k A[i,k] + B[k,j].  Tiles all three loop
 /// dimensions by engine.block_size and parallelizes block rows of C on
-/// the ISA-dispatched SIMD band kernels (matrix/kernels/), with
-/// first-touch C initialization and a stable band->thread mapping for
-/// NUMA locality.  Per product the engine picks the element width (i64 /
-/// packed i32) and k-loop shape (dense / sparse-row skip) from one scan
-/// of the operands; every choice is bitwise identical.  docs/ENGINE.md
-/// describes the full execution model.
+/// the ISA-dispatched SIMD band kernels (matrix/kernels/); each band
+/// task initializes its own rows of C.  Per product the engine picks the
+/// element width (i64 / packed i32) and k-loop shape (dense / sparse-row
+/// skip) from one scan of the operands; every choice is bitwise
+/// identical.  docs/ENGINE.md describes the full execution model.
 [[nodiscard]] DistanceMatrix min_plus_product(const DistanceMatrix& a, const DistanceMatrix& b,
                                               const EngineConfig& engine);
 

@@ -40,8 +40,7 @@
 // to auto), then the widest ISA the CPU supports.  Building with
 // -DCCQ_SIMD=OFF compiles the scalar kernels only; non-x86 targets do
 // the same automatically.  Element width is NOT selected here — that is
-// the engine's provable per-product decision (EngineConfig::width +
-// CCQ_KERNEL_WIDTH).
+// the engine's provable per-product decision (EngineConfig::width).
 #ifndef CCQ_MATRIX_KERNELS_KERNELS_HPP
 #define CCQ_MATRIX_KERNELS_KERNELS_HPP
 

@@ -292,7 +292,7 @@ struct V1Layout {
         throw snapshot_io_error("read_snapshot: trailing bytes after payload");
 
     const std::size_t cells = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-    snapshot.estimate = DistanceMatrix(n);
+    snapshot.estimate = DistanceMatrix::uninitialized(n);
     copy_cells(snapshot.estimate.data(), payload.substr(layout.estimate_offset, cells * 8));
     snapshot.has_routing = layout.has_routing;
     if (snapshot.has_routing) {

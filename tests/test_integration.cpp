@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "ccq/apsp.hpp"
+#include "ccq/matrix/engine.hpp"
 #include "ccq/spanner/baswana_sen.hpp"
 #include "test_helpers.hpp"
 
@@ -201,6 +202,63 @@ TEST(Integration, FaithfulBinSchemeMatchesFastPathEndToEnd)
     faithful.faithful_bin_scheme = true;
     EXPECT_EQ(apsp_general(g, fast).estimate, apsp_general(g, faithful).estimate);
     EXPECT_EQ(apsp_loglog(g, fast).estimate, apsp_loglog(g, faithful).estimate);
+}
+
+// EngineConfig only maps the simulated nodes' local min-plus work onto
+// OS threads and kernel variants: estimates, claimed stretch and every
+// ledger charge (phase, rounds, words) must be identical under a serial
+// forced-i64 run, a 4-thread small-block narrow-if-safe run and the
+// default configuration, for every algorithm kind.
+TEST(Integration, EngineConfigNeverChangesOutputsOrRoundCharges)
+{
+    EngineConfig serial_wide = EngineConfig::serial();
+    serial_wide.width = KernelWidth::kWide;
+    EngineConfig threaded_narrow{4, 8};
+    threaded_narrow.width = KernelWidth::kNarrowIfSafe;
+
+    std::uint64_t narrow_products = 0;
+    for (const GraphFamily family :
+         {GraphFamily::erdos_renyi_sparse, GraphFamily::geometric, GraphFamily::grid}) {
+        Rng rng(11);
+        const Graph g = make_family_instance(family, 80, WeightRange{1, 100}, rng);
+        for (const ApspAlgorithmKind kind :
+             {ApspAlgorithmKind::exact_baseline, ApspAlgorithmKind::logn_baseline,
+              ApspAlgorithmKind::loglog, ApspAlgorithmKind::small_diameter,
+              ApspAlgorithmKind::large_bandwidth, ApspAlgorithmKind::general}) {
+            const std::string label =
+                std::string(family_name(family)) + "/" + algorithm_kind_name(kind);
+            ApspOptions options;
+            options.seed = 3;
+            options.engine = serial_wide;
+            const std::uint64_t reference_narrow_before = engine_counters().products_narrow;
+            const DistanceOracle reference(g, kind, options);
+            EXPECT_EQ(engine_counters().products_narrow, reference_narrow_before)
+                << label << ": kWide must never run a narrow product";
+            for (const EngineConfig& config : {threaded_narrow, EngineConfig{}}) {
+                options.engine = config;
+                const std::uint64_t narrow_before = engine_counters().products_narrow;
+                const DistanceOracle oracle(g, kind, options);
+                narrow_products += engine_counters().products_narrow - narrow_before;
+                const ApspResult& want = reference.result();
+                const ApspResult& got = oracle.result();
+                EXPECT_TRUE(got.estimate == want.estimate) << label;
+                EXPECT_EQ(got.claimed_stretch, want.claimed_stretch) << label;
+                const std::vector<LedgerEntry>& want_entries = want.ledger.entries();
+                const std::vector<LedgerEntry>& got_entries = got.ledger.entries();
+                ASSERT_EQ(got_entries.size(), want_entries.size()) << label;
+                for (std::size_t i = 0; i < want_entries.size(); ++i) {
+                    EXPECT_EQ(got_entries[i].phase, want_entries[i].phase) << label << " #" << i;
+                    EXPECT_EQ(got_entries[i].rounds, want_entries[i].rounds)
+                        << label << " " << want_entries[i].phase;
+                    EXPECT_EQ(got_entries[i].words, want_entries[i].words)
+                        << label << " " << want_entries[i].phase;
+                }
+            }
+        }
+    }
+    // The narrow-if-safe configs must actually have exercised the i32
+    // kernels, or the comparison above only pitted i64 against i64.
+    EXPECT_GT(narrow_products, 0u);
 }
 
 } // namespace

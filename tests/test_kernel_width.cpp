@@ -4,9 +4,7 @@
 // kInfinity32), straddling the promotion boundary, across all-INF rows,
 // ragged tails, the sparse-row skip pass, and a closure whose estimates
 // grow past the boundary mid-run.  Explicit EngineConfig widths are
-// used throughout so the suite stays meaningful under a forced
-// CCQ_KERNEL_WIDTH environment (one CI leg runs the whole suite with
-// CCQ_KERNEL_WIDTH=wide; config settings outrank the env).
+// used throughout, so every test names the width it exercises.
 #include <gtest/gtest.h>
 
 #include <vector>
