@@ -136,17 +136,32 @@ SparseMatrix sparse_product_impl(const SparseMatrix& a, const SparseMatrix& b, i
     CCQ_EXPECT(a.size() == b.size(), "min_plus_product(sparse): size mismatch");
     CCQ_EXPECT(std::cmp_less_equal(a.size(), static_cast<std::size_t>(n)),
                "min_plus_product(sparse): n too small");
+    obs::Tracer& tracer = obs::Tracer::global();
+    const bool traced = tracer.enabled();
+    const obs::Tracer::clock::time_point start =
+        traced ? obs::Tracer::clock::now() : obs::Tracer::clock::time_point{};
+    const int threads = engine.resolved_threads();
+    std::atomic<std::int64_t> candidates{0}; // touched cells, summed per chunk
     SparseMatrix result(a.size());
-    parallel_chunks(engine.resolved_threads(), 0, static_cast<int>(a.size()), 1,
+    parallel_chunks(threads, 0, static_cast<int>(a.size()), 1,
                     [&](int row_begin, int row_end) {
                         std::vector<Weight> best(static_cast<std::size_t>(n), kInfinity);
                         std::vector<NodeId> touched;
+                        std::int64_t chunk_candidates = 0;
                         for (int u = row_begin; u < row_end; ++u) {
                             relax_sparse_row(a, b, static_cast<std::size_t>(u), best, touched);
+                            chunk_candidates += static_cast<std::int64_t>(touched.size());
                             result[static_cast<std::size_t>(u)] =
                                 collect_sparse_row(best, touched, keep);
                         }
+                        candidates.fetch_add(chunk_candidates, std::memory_order_relaxed);
                     });
+    if (traced)
+        tracer.complete_event("sparse/product", "engine", start, obs::Tracer::clock::now(),
+                              "{\"rows\":" + std::to_string(a.size()) +
+                                  ",\"keep\":" + std::to_string(keep) +
+                                  ",\"candidates\":" + std::to_string(candidates.load()) +
+                                  ",\"threads\":" + std::to_string(threads) + "}");
     return result;
 }
 

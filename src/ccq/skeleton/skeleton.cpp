@@ -151,7 +151,8 @@ SkeletonGraph build_skeleton(const Graph& g, const SparseMatrix& nk_rows, double
 DistanceMatrix extend_skeleton_estimate(const SkeletonGraph& skeleton,
                                         const DistanceMatrix& delta_gs,
                                         const SparseMatrix& nk_rows,
-                                        CliqueTransport& transport, std::string_view phase)
+                                        CliqueTransport& transport, std::string_view phase,
+                                        const EngineConfig& engine)
 {
     const int n = static_cast<int>(skeleton.center.size());
     const int s = skeleton.size();
@@ -170,40 +171,48 @@ DistanceMatrix extend_skeleton_estimate(const SkeletonGraph& skeleton,
                               sparse_product_rounds(1.0, static_cast<double>(s),
                                                     static_cast<double>(n), n));
 
-    // B[s_a][v] = delta_GS(s_a, c(v)) + delta(v, c(v)).
-    DistanceMatrix eta(n);
-    for (NodeId u = 0; u < n; ++u) {
-        const int cu = skeleton.member_index[static_cast<std::size_t>(
+    std::vector<int> center_index(static_cast<std::size_t>(n));
+    for (NodeId u = 0; u < n; ++u)
+        center_index[static_cast<std::size_t>(u)] = skeleton.member_index[static_cast<std::size_t>(
             skeleton.center[static_cast<std::size_t>(u)])];
-        const Weight du = skeleton.center_delta[static_cast<std::size_t>(u)];
-        for (NodeId v = 0; v < n; ++v) {
-            const int cv = skeleton.member_index[static_cast<std::size_t>(
-                skeleton.center[static_cast<std::size_t>(v)])];
-            const Weight dv = skeleton.center_delta[static_cast<std::size_t>(v)];
-            eta.at(u, v) = saturating_add(du, saturating_add(
-                                                  delta_gs.at(static_cast<NodeId>(cu),
-                                                              static_cast<NodeId>(cv)),
-                                                  dv));
+    const int* cidx = center_index.data();
+    const Weight* cdelta = skeleton.center_delta.data();
+    const Weight* gs = delta_gs.data();
+
+    // Row u is min(f(u,v), f(v,u)) with f(u,v) = du + (delta_GS(cu,cv) + dv):
+    // row c(u) of delta_GS gives f(u,.), a copy of its column c(u) gives
+    // f(.,u), so every row is written once and no pass reads a column of eta.
+    DistanceMatrix eta = DistanceMatrix::uninitialized(n);
+    Weight* out = eta.data();
+    parallel_chunks(engine.resolved_threads(), 0, n, 1, [&](int u_begin, int u_end) {
+        std::vector<Weight> to_center(static_cast<std::size_t>(s));
+        for (int u = u_begin; u < u_end; ++u) {
+            const int cu = cidx[u];
+            const Weight du = cdelta[u];
+            const Weight* from_center = gs + static_cast<std::size_t>(cu) * s;
+            for (int x = 0; x < s; ++x)
+                to_center[static_cast<std::size_t>(x)] = gs[static_cast<std::size_t>(x) * s + cu];
+            Weight* row = out + static_cast<std::size_t>(u) * n;
+            for (int v = 0; v < n; ++v) {
+                const int cv = cidx[v];
+                const Weight dv = cdelta[v];
+                const Weight forward = saturating_add(du, saturating_add(from_center[cv], dv));
+                const Weight backward =
+                    saturating_add(dv, saturating_add(to_center[static_cast<std::size_t>(cv)], du));
+                row[v] = min_weight(forward, backward);
+            }
         }
-    }
+    });
 
     // Pairs covered by the k-nearest sets use delta directly (taking the
-    // minimum keeps both the soundness and the upper bound).
+    // minimum keeps both the soundness and the upper bound); relaxing
+    // both directions keeps eta symmetric.
     for (NodeId u = 0; u < n; ++u)
         for (const SparseEntry& e : nk_rows[static_cast<std::size_t>(u)]) {
             eta.relax(u, e.node, e.dist);
             eta.relax(e.node, u, e.dist);
         }
     eta.set_diagonal_zero();
-
-    // Symmetrize (eta is symmetric in exact arithmetic; the overlay above
-    // can introduce one-sided improvements).
-    for (NodeId u = 0; u < n; ++u)
-        for (NodeId v = u + 1; v < n; ++v) {
-            const Weight m = min_weight(eta.at(u, v), eta.at(v, u));
-            eta.at(u, v) = m;
-            eta.at(v, u) = m;
-        }
     return eta;
 }
 

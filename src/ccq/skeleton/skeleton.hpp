@@ -53,11 +53,24 @@ struct SkeletonGraph {
 /// compact skeleton ids) to the full graph: the eta of Lemma 6.1.  The
 /// result is symmetric and satisfies eta >= d and (per Lemma 6.4)
 /// eta <= 7*l*a^2*d.
+///
+/// With f(u,v) = delta(u,c(u)) + (delta_GS(c(u),c(v)) + delta(c(v),v)),
+/// eta(u,v) for u != v is min(f(u,v), f(v,u), delta(u,v) for every
+/// k-nearest entry of u naming v or of v naming u), and eta(u,u) = 0.
+/// That is exactly the three-pass definition (fill f, overlay the
+/// k-nearest entries both ways, symmetrize by the pairwise min), also
+/// for an asymmetric delta_gs, but computed in one pass that writes
+/// each row once: every node u builds its own row, as in the clique.
+/// Rows run in parallel chunks on `engine.resolved_threads()` threads
+/// (the overlay and the diagonal stay serial); EngineConfig::serial()
+/// runs inline without touching the shared pool.  Output and round
+/// charges never depend on `engine`.
 [[nodiscard]] DistanceMatrix extend_skeleton_estimate(const SkeletonGraph& skeleton,
                                                       const DistanceMatrix& delta_gs,
                                                       const SparseMatrix& nk_rows,
                                                       CliqueTransport& transport,
-                                                      std::string_view phase);
+                                                      std::string_view phase,
+                                                      const EngineConfig& engine = {});
 
 /// Upper bound on |S| promised by Lemma 6.1: c * n * max(1, ln k) / k.
 [[nodiscard]] double skeleton_size_bound(int n, int k, double constant = 4.0);

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <thread>
 
 #include "ccq/skeleton/hitting_set.hpp"
 #include "ccq/skeleton/skeleton.hpp"
@@ -239,6 +243,187 @@ TEST(Skeleton, SingletonRowsMakeEveryNodeSkeleton)
     const DistanceMatrix eta = extend_skeleton_estimate(skeleton, exact_apsp(skeleton.graph),
                                                         rows, transport, "ext");
     testing::expect_valid_approximation(exact, eta, 7.0, "k=1");
+}
+
+// ---- one-pass extension vs the three-pass definition -----------------------
+
+/// The three-pass definition of eta that extend_skeleton_estimate must
+/// reproduce bit for bit: fill f(u,v) = du + (delta_GS(cu,cv) + dv),
+/// overlay the k-nearest entries in both directions, zero the diagonal,
+/// then symmetrize by the pairwise min.
+DistanceMatrix extend_three_pass_reference(const SkeletonGraph& skeleton,
+                                           const DistanceMatrix& delta_gs,
+                                           const SparseMatrix& nk_rows)
+{
+    const int n = static_cast<int>(skeleton.center.size());
+    DistanceMatrix eta(n);
+    for (NodeId u = 0; u < n; ++u) {
+        const int cu = skeleton.member_index[static_cast<std::size_t>(
+            skeleton.center[static_cast<std::size_t>(u)])];
+        const Weight du = skeleton.center_delta[static_cast<std::size_t>(u)];
+        for (NodeId v = 0; v < n; ++v) {
+            const int cv = skeleton.member_index[static_cast<std::size_t>(
+                skeleton.center[static_cast<std::size_t>(v)])];
+            const Weight dv = skeleton.center_delta[static_cast<std::size_t>(v)];
+            eta.at(u, v) = saturating_add(du, saturating_add(
+                                                  delta_gs.at(static_cast<NodeId>(cu),
+                                                              static_cast<NodeId>(cv)),
+                                                  dv));
+        }
+    }
+    for (NodeId u = 0; u < n; ++u)
+        for (const SparseEntry& e : nk_rows[static_cast<std::size_t>(u)]) {
+            eta.relax(u, e.node, e.dist);
+            eta.relax(e.node, u, e.dist);
+        }
+    eta.set_diagonal_zero();
+    for (NodeId u = 0; u < n; ++u)
+        for (NodeId v = u + 1; v < n; ++v) {
+            const Weight m = min_weight(eta.at(u, v), eta.at(v, u));
+            eta.at(u, v) = m;
+            eta.at(v, u) = m;
+        }
+    return eta;
+}
+
+struct ExtendCase {
+    SkeletonGraph skeleton;
+    SparseMatrix rows;
+};
+
+ExtendCase make_extend_case(const Graph& g, int k, std::uint64_t seed)
+{
+    ExtendCase c;
+    c.rows = exact_k_nearest_rows(exact_apsp(g), k);
+    RoundLedger ledger;
+    CliqueTransport transport(g.node_count(), CostModel::standard(), ledger);
+    Rng rng(seed);
+    c.skeleton = build_skeleton(g, c.rows, 1.0, rng, transport, "sk");
+    return c;
+}
+
+/// Runs the extension under every engine configuration and requires the
+/// three-pass reference bit for bit, and identical round charges.
+void expect_matches_three_pass(const ExtendCase& c, const DistanceMatrix& delta_gs,
+                               const std::string& label)
+{
+    const DistanceMatrix reference = extend_three_pass_reference(c.skeleton, delta_gs, c.rows);
+    const int n = static_cast<int>(c.skeleton.center.size());
+    double serial_rounds = -1.0;
+    for (const EngineConfig& engine :
+         {EngineConfig::serial(), EngineConfig{2}, EngineConfig{4}, EngineConfig{}}) {
+        RoundLedger ledger;
+        CliqueTransport transport(std::max(1, n), CostModel::standard(), ledger);
+        const DistanceMatrix eta =
+            extend_skeleton_estimate(c.skeleton, delta_gs, c.rows, transport, "ext", engine);
+        EXPECT_TRUE(eta == reference) << label << " threads=" << engine.threads;
+        if (serial_rounds < 0.0) serial_rounds = ledger.total_rounds();
+        EXPECT_EQ(ledger.total_rounds(), serial_rounds) << label << " threads=" << engine.threads;
+    }
+}
+
+TEST(ExtendOnePass, MatchesThreePassOnFamilies)
+{
+    for (const InstanceSpec& spec :
+         {InstanceSpec{GraphFamily::erdos_renyi_sparse, 56, 5, 60},
+          InstanceSpec{GraphFamily::geometric, 56, 7, 60},
+          InstanceSpec{GraphFamily::grid, 36, 3, 60}}) {
+        const Graph g = make_instance(spec);
+        const ExtendCase c = make_extend_case(g, std::max(2, g.node_count() / 8), spec.seed);
+        expect_matches_three_pass(c, exact_apsp(c.skeleton.graph), spec.label());
+    }
+}
+
+TEST(ExtendOnePass, MatchesThreePassOnAsymmetricSkeletonEstimate)
+{
+    // The inflated l-approximation of SkeletonApproximationFactorPropagates,
+    // scaled only above the diagonal: f(u,v) != f(v,u), so the pairwise
+    // min must pick the smaller direction.
+    Rng rng(5);
+    const Graph g = erdos_renyi(48, 0.2, WeightRange{1, 25}, rng);
+    const ExtendCase c = make_extend_case(g, 8, 5);
+    DistanceMatrix asymmetric = exact_apsp(c.skeleton.graph);
+    for (NodeId x = 0; x < asymmetric.size(); ++x)
+        for (NodeId y = x + 1; y < asymmetric.size(); ++y)
+            if (is_finite(asymmetric.at(x, y))) asymmetric.at(x, y) *= 2;
+    ASSERT_FALSE(is_symmetric(asymmetric));
+    expect_matches_three_pass(c, asymmetric, "asymmetric");
+}
+
+TEST(ExtendOnePass, MatchesThreePassOnDisconnectedGraph)
+{
+    Graph g = Graph::undirected(12);
+    for (int base : {0, 6}) {
+        for (int i = 0; i < 5; ++i) g.add_edge(base + i, base + i + 1, 2);
+    }
+    const ExtendCase c = make_extend_case(g, 3, 6);
+    expect_matches_three_pass(c, exact_apsp(c.skeleton.graph), "disconnected");
+}
+
+TEST(ExtendOnePass, MatchesThreePassWhenSumsSaturate)
+{
+    // Skeleton distances and center offsets near kInfinity: some f sums
+    // saturate in the inner add, some only in the outer one.
+    Rng rng(8);
+    const Graph g = erdos_renyi(40, 0.2, WeightRange{1, 30}, rng);
+    ExtendCase c = make_extend_case(g, 6, 8);
+    DistanceMatrix near = exact_apsp(c.skeleton.graph);
+    for (NodeId x = 0; x < near.size(); ++x)
+        for (NodeId y = 0; y < near.size(); ++y)
+            if (x != y && (x + y) % 3 == 0) near.at(x, y) = kInfinity - 1 - (x + y);
+    for (std::size_t u = 0; u < c.skeleton.center_delta.size(); u += 4)
+        c.skeleton.center_delta[u] = kInfinity - 2 - static_cast<Weight>(u);
+    expect_matches_three_pass(c, near, "saturating");
+}
+
+TEST(ExtendOnePass, MatchesThreePassOnEdgeSizes)
+{
+    // k = 1 forces S = V; n = 37 is divided by none of the thread counts.
+    Rng rng(9);
+    const Graph g = erdos_renyi(16, 0.3, WeightRange{1, 9}, rng);
+    const ExtendCase all = make_extend_case(g, 1, 9);
+    ASSERT_EQ(all.skeleton.size(), 16);
+    expect_matches_three_pass(all, exact_apsp(all.skeleton.graph), "k=1");
+
+    const Graph odd = erdos_renyi(37, 0.15, WeightRange{1, 20}, rng);
+    const ExtendCase c = make_extend_case(odd, 5, 10);
+    expect_matches_three_pass(c, exact_apsp(c.skeleton.graph), "n=37");
+
+    const ExtendCase single = make_extend_case(Graph::undirected(1), 1, 11);
+    expect_matches_three_pass(single, exact_apsp(single.skeleton.graph), "n=1");
+}
+
+TEST(ExtendOnePass, SerialConfigNeverTouchesThePool)
+{
+    // Occupy the shared pool with a job that holds it until released; a
+    // serial extension must finish inline on the calling thread.
+    Rng rng(12);
+    const Graph g = erdos_renyi(64, 0.1, WeightRange{1, 30}, rng);
+    const ExtendCase c = make_extend_case(g, 8, 12);
+    const DistanceMatrix delta_gs = exact_apsp(c.skeleton.graph);
+
+    std::atomic<int> entered{0};
+    std::atomic<bool> release{false};
+    std::thread holder([&] {
+        ThreadPool::shared().run(2, 2, [&](int) {
+            entered.fetch_add(1);
+            while (!release.load()) std::this_thread::yield();
+        });
+    });
+    while (entered.load() == 0) std::this_thread::yield();
+
+    std::future<DistanceMatrix> extend = std::async(std::launch::async, [&] {
+        RoundLedger ledger;
+        CliqueTransport transport(64, CostModel::standard(), ledger);
+        return extend_skeleton_estimate(c.skeleton, delta_gs, c.rows, transport, "ext",
+                                        EngineConfig::serial());
+    });
+    const bool finished =
+        extend.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+    release.store(true);
+    holder.join();
+    ASSERT_TRUE(finished) << "a serial extension waited on the busy thread pool";
+    EXPECT_TRUE(extend.get() == extend_three_pass_reference(c.skeleton, delta_gs, c.rows));
 }
 
 } // namespace
