@@ -7,10 +7,11 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <limits>
 #include <ostream>
 #include <type_traits>
@@ -53,14 +54,15 @@ void encode_meta(std::string& payload, const SnapshotMeta& meta)
     put_u64(payload, meta.build_seed);
 }
 
-[[nodiscard]] SnapshotMeta decode_meta(ByteReader& reader)
+[[nodiscard]] SnapshotMeta decode_meta(ByteReader& reader, const char* who)
 {
     SnapshotMeta meta;
     meta.node_count = reader.i32();
-    if (meta.node_count < 0) throw snapshot_io_error("read_snapshot: negative node count");
+    if (meta.node_count < 0) throw snapshot_io_error(std::string(who) + ": negative node count");
     meta.edge_count = reader.u64();
     const std::uint32_t directed = reader.u32();
-    if (directed > 1) throw snapshot_io_error("read_snapshot: malformed orientation flag");
+    if (directed > 1)
+        throw snapshot_io_error(std::string(who) + ": malformed orientation flag");
     meta.directed = directed == 1;
     meta.max_weight = reader.i64();
     meta.algorithm = reader.str();
@@ -74,7 +76,7 @@ void encode_meta(std::string& payload, const SnapshotMeta& meta)
 [[nodiscard]] bool decode_flag(ByteReader& reader, const char* what)
 {
     const std::uint32_t flag = reader.u32();
-    if (flag > 1) throw snapshot_io_error(std::string("read_snapshot: malformed ") + what);
+    if (flag > 1) throw snapshot_io_error(std::string("MappedSnapshot: malformed ") + what);
     return flag == 1;
 }
 
@@ -177,7 +179,7 @@ void write_v1_streamed(std::ostream& out, const OracleSnapshot& snapshot)
     write_footer(out, payload.flush(), "write_snapshot");
 }
 
-// Decoded-cell invariants, enforced by BOTH codecs at load time.  The
+// Decoded-cell invariants, enforced by BOTH dense codecs at load time.  The
 // dense engine's raw-add kernels assume every stored cell is in
 // [0, kInfinity] (the no-overflow argument in matrix/kernels/), so a
 // crafted or corrupted snapshot must never hand an out-of-range cell
@@ -187,13 +189,13 @@ void write_v1_streamed(std::ostream& out, const OracleSnapshot& snapshot)
 void check_estimate_cell(std::int64_t value)
 {
     if (value < 0 || value > kInfinity)
-        throw snapshot_io_error("read_snapshot: estimate cell out of range");
+        throw snapshot_io_error("MappedSnapshot: estimate cell out of range");
 }
 
 void check_next_hop(std::int64_t value, int n)
 {
     if (value < -1 || value >= n)
-        throw snapshot_io_error("read_snapshot: next hop out of range");
+        throw snapshot_io_error("MappedSnapshot: next hop out of range");
 }
 
 /// The little-endian integer of width sizeof(Cell) at `bytes`.
@@ -258,13 +260,12 @@ struct V1Layout {
 /// Reads the v1 sections after the meta block, validating every cell.
 /// node_count is untrusted (FNV-1a detects accidents, not forgery), so
 /// each section's size is proven against the payload before anything
-/// n^2-sized is touched.  Both the eager decoder and MappedSnapshot use
-/// this, so they accept and reject the same files with the same errors.
+/// n^2-sized is touched.
 [[nodiscard]] V1Layout read_v1_layout(ByteReader& reader, int n)
 {
     const std::uint64_t cells = static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
     if (cells > reader.remaining() / 8)
-        throw snapshot_io_error("read_snapshot: node count exceeds payload size");
+        throw snapshot_io_error("MappedSnapshot: node count exceeds payload size");
     V1Layout layout;
     layout.estimate_offset = reader.position();
     validate_cells<std::int64_t>(reader.bytes(static_cast<std::size_t>(cells) * 8), "estimate",
@@ -272,35 +273,13 @@ struct V1Layout {
     layout.has_routing = decode_flag(reader, "routing flag");
     if (layout.has_routing) {
         if (cells > reader.remaining() / 4)
-            throw snapshot_io_error("read_snapshot: routing table exceeds payload size");
+            throw snapshot_io_error("MappedSnapshot: routing table exceeds payload size");
         layout.routing_offset = reader.position();
         validate_cells<std::int32_t>(reader.bytes(static_cast<std::size_t>(cells) * 4),
                                      "routing",
                                      [n](std::int32_t value) { check_next_hop(value, n); });
     }
     return layout;
-}
-
-[[nodiscard]] OracleSnapshot decode_payload_v1(std::string_view payload)
-{
-    ByteReader reader(payload);
-    OracleSnapshot snapshot;
-    snapshot.meta = decode_meta(reader);
-    const int n = snapshot.meta.node_count;
-    const V1Layout layout = read_v1_layout(reader, n);
-    if (!reader.exhausted())
-        throw snapshot_io_error("read_snapshot: trailing bytes after payload");
-
-    const std::size_t cells = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-    snapshot.estimate = DistanceMatrix::uninitialized(n);
-    copy_cells(snapshot.estimate.data(), payload.substr(layout.estimate_offset, cells * 8));
-    snapshot.has_routing = layout.has_routing;
-    if (snapshot.has_routing) {
-        std::vector<NodeId> next_hops(cells);
-        copy_cells(next_hops.data(), payload.substr(layout.routing_offset, cells * 4));
-        snapshot.routing = RoutingTables(n, std::move(next_hops));
-    }
-    return snapshot;
 }
 
 // --- version 2: per-row delta+varint behind a row-offset table --------------
@@ -367,73 +346,71 @@ struct V2Section {
 {
     const std::uint64_t entries = static_cast<std::uint64_t>(n) + 1;
     if (entries > reader.remaining() / 8)
-        throw snapshot_io_error(std::string("read_snapshot: node count exceeds payload size (") +
+        throw snapshot_io_error(std::string("MappedSnapshot: node count exceeds payload size (") +
                                 what + " offsets)");
     V2Section section;
     section.row_offsets.resize(static_cast<std::size_t>(entries));
     for (std::size_t i = 0; i < section.row_offsets.size(); ++i) {
         const std::uint64_t offset = reader.u64();
         if (offset > reader.remaining())
-            throw snapshot_io_error(std::string("read_snapshot: ") + what +
+            throw snapshot_io_error(std::string("MappedSnapshot: ") + what +
                                     " row offset exceeds payload size");
         section.row_offsets[i] = static_cast<std::size_t>(offset);
     }
     if (section.row_offsets.front() != 0)
-        throw snapshot_io_error(std::string("read_snapshot: ") + what +
+        throw snapshot_io_error(std::string("MappedSnapshot: ") + what +
                                 " offsets do not start at zero");
     for (std::size_t i = 0; i + 1 < section.row_offsets.size(); ++i) {
         if (section.row_offsets[i + 1] < section.row_offsets[i])
-            throw snapshot_io_error(std::string("read_snapshot: ") + what +
+            throw snapshot_io_error(std::string("MappedSnapshot: ") + what +
                                     " row offsets not monotone");
         // Every cell costs at least one varint byte: a shorter row can
         // only come from a forged header, so reject before decoding.
         if (section.row_offsets[i + 1] - section.row_offsets[i] < static_cast<std::size_t>(n))
-            throw snapshot_io_error(std::string("read_snapshot: ") + what +
+            throw snapshot_io_error(std::string("MappedSnapshot: ") + what +
                                     " row shorter than the node count");
     }
     const std::size_t blob_size = section.row_offsets.back();
     if (blob_size > reader.remaining())
-        throw snapshot_io_error(std::string("read_snapshot: ") + what +
+        throw snapshot_io_error(std::string("MappedSnapshot: ") + what +
                                 " blob exceeds payload size");
     section.blob_offset = reader.position();
     (void)reader.bytes(blob_size);
     return section;
 }
 
+/// Decodes one v2 row of n cells into `out`, range-checking each cell
+/// with `check` as it is decoded.
+template <class Cell, class Check>
+void decode_row(std::string_view row_bytes, int n, Cell* out, const char* section, Check check)
+{
+    try {
+        ByteReader reader(row_bytes);
+        std::int64_t prev = 0;
+        for (int v = 0; v < n; ++v) {
+            const std::int64_t value = wrapping_add(prev, reader.varint_i64());
+            check(value);
+            out[v] = static_cast<Cell>(value);
+            prev = value;
+        }
+        if (!reader.exhausted())
+            throw snapshot_io_error(std::string("MappedSnapshot: trailing bytes in ") + section +
+                                    " row");
+    } catch (const decode_error& error) {
+        throw snapshot_io_error(std::string("MappedSnapshot: ") + error.what());
+    }
+}
+
 void decode_weight_row(std::string_view row_bytes, int n, Weight* out)
 {
-    ByteReader reader(row_bytes);
-    std::int64_t prev = 0;
-    for (int v = 0; v < n; ++v) {
-        const std::int64_t value = wrapping_add(prev, reader.varint_i64());
-        check_estimate_cell(value);
-        out[v] = value;
-        prev = value;
-    }
-    if (!reader.exhausted())
-        throw snapshot_io_error("read_snapshot: trailing bytes in estimate row");
+    decode_row(row_bytes, n, out, "estimate",
+               [](std::int64_t value) { check_estimate_cell(value); });
 }
 
 void decode_hop_row(std::string_view row_bytes, int n, NodeId* out)
 {
-    ByteReader reader(row_bytes);
-    std::int64_t prev = 0;
-    for (int v = 0; v < n; ++v) {
-        const std::int64_t value = wrapping_add(prev, reader.varint_i64());
-        check_next_hop(value, n);
-        out[v] = static_cast<NodeId>(value);
-        prev = value;
-    }
-    if (!reader.exhausted())
-        throw snapshot_io_error("read_snapshot: trailing bytes in routing row");
-}
-
-[[nodiscard]] std::string_view section_row(std::string_view payload, const V2Section& section,
-                                           int u)
-{
-    const std::size_t begin = section.row_offsets[static_cast<std::size_t>(u)];
-    const std::size_t end = section.row_offsets[static_cast<std::size_t>(u) + 1];
-    return payload.substr(section.blob_offset + begin, end - begin);
+    decode_row(row_bytes, n, out, "routing",
+               [n](std::int64_t value) { check_next_hop(value, n); });
 }
 
 [[nodiscard]] std::string encode_payload_v2(const OracleSnapshot& snapshot)
@@ -445,45 +422,6 @@ void decode_hop_row(std::string_view row_bytes, int n, NodeId* out)
     put_u32(payload, snapshot.has_routing ? 1 : 0);
     if (snapshot.has_routing) encode_v2_rows(payload, n, snapshot.routing.data());
     return payload;
-}
-
-[[nodiscard]] OracleSnapshot decode_payload_v2(std::string_view payload)
-{
-    ByteReader reader(payload);
-    OracleSnapshot snapshot;
-    snapshot.meta = decode_meta(reader);
-    const int n = snapshot.meta.node_count;
-
-    const V2Section estimate = read_v2_section(reader, n, "estimate");
-    snapshot.estimate = DistanceMatrix(n);
-    for (NodeId u = 0; u < n; ++u)
-        decode_weight_row(section_row(payload, estimate, u), n,
-                          snapshot.estimate.data() + static_cast<std::size_t>(u) *
-                                                         static_cast<std::size_t>(n));
-
-    snapshot.has_routing = decode_flag(reader, "routing flag");
-    if (snapshot.has_routing) {
-        const V2Section routing = read_v2_section(reader, n, "routing");
-        std::vector<NodeId> hops(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-        for (NodeId u = 0; u < n; ++u)
-            decode_hop_row(section_row(payload, routing, u), n,
-                           hops.data() + static_cast<std::size_t>(u) *
-                                             static_cast<std::size_t>(n));
-        snapshot.routing = RoutingTables(n, std::move(hops));
-    }
-    if (!reader.exhausted())
-        throw snapshot_io_error("read_snapshot: trailing bytes after payload");
-    return snapshot;
-}
-
-[[nodiscard]] OracleSnapshot decode_payload(std::uint32_t version, std::string_view payload)
-{
-    try {
-        return version == format_version(SnapshotFormat::v1_raw) ? decode_payload_v1(payload)
-                                                                 : decode_payload_v2(payload);
-    } catch (const decode_error& error) {
-        throw snapshot_io_error(std::string("read_snapshot: ") + error.what());
-    }
 }
 
 // Every unknown-version rejection goes through here so the message
@@ -503,51 +441,117 @@ void write_envelope(std::ostream& out, SnapshotFormat format, std::string_view p
     write_footer(out, traced_fnv1a_update(kFnvOffset, payload), who);
 }
 
-struct Envelope {
+/// The fields of a 20-byte envelope header.
+struct Header {
     std::uint32_t version = 0;
-    std::string payload;
+    std::uint64_t payload_size = 0;
 };
 
-/// Reads magic + version + length + payload + checksum; verifies
-/// everything except the version (callers gate on the formats they can
-/// decode, so the error can point at the right loader).
-[[nodiscard]] Envelope read_envelope(std::istream& in, const char* who)
+/// Reads the header at the start of `bytes`, checking the magic and
+/// that this build knows the version.
+[[nodiscard]] Header read_header(std::string_view bytes, const std::string& who)
 {
-    std::string header(kHeaderBytes, '\0');
-    in.read(header.data(), static_cast<std::streamsize>(header.size()));
-    if (static_cast<std::size_t>(in.gcount()) != header.size())
-        throw snapshot_io_error(std::string(who) + ": truncated header");
-    if (std::memcmp(header.data(), kMagic.data(), kMagic.size()) != 0)
-        throw snapshot_io_error(std::string(who) + ": bad magic (not a ccq snapshot)");
+    if (bytes.size() < kHeaderBytes) throw snapshot_io_error(who + ": truncated header");
+    if (bytes.substr(0, kMagic.size()) != std::string_view(kMagic.data(), kMagic.size()))
+        throw snapshot_io_error(who + ": bad magic (not a ccq snapshot)");
+    ByteReader fields(bytes.substr(kMagic.size(), kHeaderBytes - kMagic.size()));
+    Header header;
+    header.version = fields.u32();
+    header.payload_size = fields.u64();
+    if (header.version < format_version(SnapshotFormat::v1_raw) ||
+        header.version > kSnapshotFormatVersion)
+        throw_unknown_version(who.c_str(), header.version);
+    return header;
+}
 
-    ByteReader fields(std::string_view(header).substr(kMagic.size()));
-    Envelope envelope;
-    envelope.version = fields.u32();
-    const std::uint64_t payload_size = fields.u64();
+struct VerifiedPayload {
+    std::uint32_t version = 0;
+    std::string_view bytes;
+};
 
-    // The length field sits outside the checksummed payload, so it is
-    // untrusted: read in bounded chunks instead of allocating it upfront,
-    // so a corrupted huge length ends as "truncated payload" once the
-    // stream runs dry rather than as a multi-GB allocation.
-    std::string& payload = envelope.payload;
-    constexpr std::uint64_t kChunk = 1 << 20;
-    while (payload.size() < payload_size) {
-        const std::uint64_t want = std::min<std::uint64_t>(kChunk, payload_size - payload.size());
-        const std::size_t old_size = payload.size();
-        payload.resize(old_size + want);
-        in.read(payload.data() + old_size, static_cast<std::streamsize>(want));
-        if (static_cast<std::uint64_t>(in.gcount()) != want)
-            throw snapshot_io_error(std::string(who) + ": truncated payload");
-    }
+/// The codec family a reader decodes.
+enum class Family { dense, sparse };
 
-    std::string footer(kFooterBytes, '\0');
-    in.read(footer.data(), static_cast<std::streamsize>(footer.size()));
-    if (static_cast<std::size_t>(in.gcount()) != footer.size())
-        throw snapshot_io_error(std::string(who) + ": truncated checksum");
-    ByteReader footer_reader(footer);
-    if (footer_reader.u64() != traced_fnv1a_update(kFnvOffset, payload))
+/// The one integrity check of a snapshot file being read, run over its
+/// mapped bytes before any payload byte is decoded: the magic, a
+/// version of the family the caller decodes (dense v1/v2 or sparse v3;
+/// the other family is refused with a pointer at its loader), a payload
+/// length equal to the file size minus the 28 envelope bytes, and the
+/// FNV-1a checksum.
+[[nodiscard]] VerifiedPayload verify_envelope(std::string_view file, Family family,
+                                              const char* who)
+{
+    const bool sparse = family == Family::sparse;
+    const Header header = read_header(file, who);
+    if ((header.version == format_version(SnapshotFormat::v3_spanner)) != sparse)
+        throw snapshot_io_error(
+            sparse ? std::string(who) + ": format version " + std::to_string(header.version) +
+                         " is a dense snapshot; load it with load_snapshot"
+                   : std::string(who) +
+                         ": format version 3 stores a sparse spanner, not a dense matrix; "
+                         "load it with load_sparse_snapshot or open_distance_source");
+    if (file.size() < kHeaderBytes + kFooterBytes ||
+        header.payload_size != file.size() - kHeaderBytes - kFooterBytes)
+        throw snapshot_io_error(std::string(who) +
+                                ": payload length does not match the file size");
+    const std::string_view payload = file.substr(kHeaderBytes, header.payload_size);
+    ByteReader footer(file.substr(kHeaderBytes + payload.size()));
+    if (footer.u64() != traced_fnv1a_update(kFnvOffset, payload))
         throw snapshot_io_error(std::string(who) + ": checksum mismatch (corrupted snapshot)");
-    return envelope;
+    return {header.version, payload};
+}
+
+/// Moves the finished file `temp` to `path` in one step.  An existing
+/// regular file at `path` is exchanged with `temp` and then unlinked:
+/// a plain rename over it makes ext4 start writeback of the whole new
+/// file inside rename(2) (its auto_da_alloc heuristic), which cost
+/// ~20 ms on a 50 MB snapshot.  Elsewhere (no file there yet, a symlink, a filesystem or
+/// kernel without RENAME_EXCHANGE) a plain rename does the same job.
+void move_into_place(const std::string& temp, const std::string& path, const char* who)
+{
+#ifdef RENAME_EXCHANGE
+    struct stat info = {};
+    if (::lstat(path.c_str(), &info) == 0 && S_ISREG(info.st_mode) &&
+        ::renameat2(AT_FDCWD, temp.c_str(), AT_FDCWD, path.c_str(), RENAME_EXCHANGE) == 0) {
+        ::unlink(temp.c_str()); // now the old file
+        return;
+    }
+#endif
+    if (std::rename(temp.c_str(), path.c_str()) != 0)
+        throw snapshot_io_error(std::string(who) + ": cannot rename " + temp + " to " + path);
+}
+
+/// Writes a file through `write_to` into a fresh temporary next to `path`
+/// and moves it over `path`.  A process that has the old file mapped
+/// keeps reading the old bytes (the name moves to a new inode, never
+/// the inode under a live mapping), and a failed write leaves `path` as
+/// it was and removes the temporary.  No fsync: this is atomic
+/// replacement, not durability.
+template <class Write>
+void replace_file(const std::string& path, const char* who, Write&& write_to)
+{
+    static std::atomic<std::uint64_t> serial{0};
+    const std::string temp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                             std::to_string(serial.fetch_add(1));
+    // O_EXCL claims the name, so an existing file or symlink there is
+    // never written through.
+    const int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    if (fd < 0) throw snapshot_io_error(std::string(who) + ": cannot create " + temp);
+    ::close(fd);
+    try {
+        // in|out opens the new, empty file without O_TRUNC: on ext4 a
+        // truncate makes close(2) start writeback of the whole file, and
+        // unlinking that file later waits for it.
+        std::ofstream out(temp, std::ios::binary | std::ios::in | std::ios::out);
+        if (!out) throw snapshot_io_error(std::string(who) + ": cannot open " + temp);
+        write_to(out);
+        out.close();
+        if (!out) throw snapshot_io_error(std::string(who) + ": write to " + temp + " failed");
+        move_into_place(temp, path, who);
+    } catch (...) {
+        std::remove(temp.c_str());
+        throw;
+    }
 }
 
 } // namespace
@@ -564,19 +568,9 @@ const char* snapshot_format_name(SnapshotFormat format) noexcept
 
 SnapshotFormat peek_snapshot_format(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw snapshot_io_error("peek_snapshot_format: cannot open " + path);
-    std::string header(kHeaderBytes, '\0');
-    in.read(header.data(), static_cast<std::streamsize>(header.size()));
-    if (static_cast<std::size_t>(in.gcount()) != header.size())
-        throw snapshot_io_error("peek_snapshot_format: truncated header in " + path);
-    if (std::memcmp(header.data(), kMagic.data(), kMagic.size()) != 0)
-        throw snapshot_io_error("peek_snapshot_format: bad magic (not a ccq snapshot): " + path);
-    ByteReader fields(std::string_view(header).substr(kMagic.size()));
-    const std::uint32_t version = fields.u32();
-    if (version < format_version(SnapshotFormat::v1_raw) || version > kSnapshotFormatVersion)
-        throw_unknown_version("peek_snapshot_format", version);
-    return static_cast<SnapshotFormat>(version);
+    const MappedFile file(path, "peek_snapshot_format");
+    return static_cast<SnapshotFormat>(
+        read_header(file.bytes(), "peek_snapshot_format " + path).version);
 }
 
 OracleSnapshot OracleSnapshot::from_result(const Graph& source, const ApspResult& result,
@@ -622,34 +616,16 @@ void write_snapshot(std::ostream& out, const OracleSnapshot& snapshot, SnapshotF
         write_envelope(out, format, encode_payload_v2(snapshot), "write_snapshot");
 }
 
-OracleSnapshot read_snapshot(std::istream& in)
-{
-    obs::TraceSpan span("snapshot/read", "serve");
-    const Envelope envelope = read_envelope(in, "read_snapshot");
-    if (envelope.version == format_version(SnapshotFormat::v3_spanner))
-        throw snapshot_io_error(
-            "read_snapshot: format version 3 stores a sparse spanner, not a dense matrix; "
-            "load it with load_sparse_snapshot or open_distance_source");
-    if (envelope.version != format_version(SnapshotFormat::v1_raw) &&
-        envelope.version != format_version(SnapshotFormat::v2_compressed))
-        throw_unknown_version("read_snapshot", envelope.version);
-    return decode_payload(envelope.version, envelope.payload);
-}
-
 void save_snapshot(const std::string& path, const OracleSnapshot& snapshot, SnapshotFormat format)
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) throw snapshot_io_error("save_snapshot: cannot open " + path);
-    write_snapshot(out, snapshot, format);
-    out.flush();
-    if (!out) throw snapshot_io_error("save_snapshot: write to " + path + " failed");
+    replace_file(path, "save_snapshot",
+                 [&](std::ostream& out) { write_snapshot(out, snapshot, format); });
 }
 
 OracleSnapshot load_snapshot(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw snapshot_io_error("load_snapshot: cannot open " + path);
-    return read_snapshot(in);
+    obs::TraceSpan span("snapshot/read", "serve");
+    return MappedSnapshot(path).materialize();
 }
 
 // --- version 3: sparse spanner edge list (CSR, delta+varint) ----------------
@@ -742,16 +718,16 @@ namespace {
 {
     ByteReader reader(payload);
     SparseSnapshot snapshot;
-    snapshot.meta = decode_meta(reader);
+    snapshot.meta = decode_meta(reader, "load_sparse_snapshot");
     const int n = snapshot.meta.node_count;
     if (snapshot.meta.directed)
-        throw snapshot_io_error("read_sparse_snapshot: spanner snapshots are undirected");
+        throw snapshot_io_error("load_sparse_snapshot: spanner snapshots are undirected");
 
     const std::uint32_t stretch = reader.u32();
     const std::uint32_t k = reader.u32();
     if (stretch < 1 || stretch > std::numeric_limits<std::int32_t>::max() || k < 1 ||
         k > std::numeric_limits<std::int32_t>::max())
-        throw snapshot_io_error("read_sparse_snapshot: stretch/k out of range");
+        throw snapshot_io_error("load_sparse_snapshot: stretch/k out of range");
     snapshot.stretch_bound = static_cast<int>(stretch);
     snapshot.parameter_k = static_cast<int>(k);
     snapshot.construction = reader.str();
@@ -761,32 +737,32 @@ namespace {
     // prove the payload can hold m edges before allocating m.
     const std::uint64_t m = reader.u64();
     if (m > reader.remaining() / 2)
-        throw snapshot_io_error("read_sparse_snapshot: edge count exceeds payload size");
+        throw snapshot_io_error("load_sparse_snapshot: edge count exceeds payload size");
 
     const std::uint64_t entries = static_cast<std::uint64_t>(n) + 1;
     if (entries > reader.remaining() / 8)
         throw snapshot_io_error(
-            "read_sparse_snapshot: node count exceeds payload size (spanner offsets)");
+            "load_sparse_snapshot: node count exceeds payload size (spanner offsets)");
     std::vector<std::size_t> offsets(static_cast<std::size_t>(entries));
     for (std::size_t i = 0; i < offsets.size(); ++i) {
         const std::uint64_t offset = reader.u64();
         if (offset > reader.remaining())
             throw snapshot_io_error(
-                "read_sparse_snapshot: spanner row offset exceeds payload size");
+                "load_sparse_snapshot: spanner row offset exceeds payload size");
         offsets[i] = static_cast<std::size_t>(offset);
     }
     if (offsets.front() != 0)
-        throw snapshot_io_error("read_sparse_snapshot: spanner offsets do not start at zero");
+        throw snapshot_io_error("load_sparse_snapshot: spanner offsets do not start at zero");
     for (std::size_t i = 0; i + 1 < offsets.size(); ++i)
         if (offsets[i + 1] < offsets[i])
-            throw snapshot_io_error("read_sparse_snapshot: spanner row offsets not monotone");
+            throw snapshot_io_error("load_sparse_snapshot: spanner row offsets not monotone");
     const std::size_t blob_size = offsets.back();
     if (blob_size > reader.remaining())
-        throw snapshot_io_error("read_sparse_snapshot: spanner blob exceeds payload size");
+        throw snapshot_io_error("load_sparse_snapshot: spanner blob exceeds payload size");
     const std::size_t blob_offset = reader.position();
     (void)reader.bytes(blob_size);
     if (!reader.exhausted())
-        throw snapshot_io_error("read_sparse_snapshot: trailing bytes after payload");
+        throw snapshot_io_error("load_sparse_snapshot: trailing bytes after payload");
 
     snapshot.edges.reserve(static_cast<std::size_t>(m));
     for (int u = 0; u < n; ++u) {
@@ -800,21 +776,21 @@ namespace {
             // check also rejects targets past the last node.
             if (delta == 0 ||
                 delta > static_cast<std::uint64_t>(n) - static_cast<std::uint64_t>(prev) - 1)
-                throw snapshot_io_error("read_sparse_snapshot: spanner target out of range");
+                throw snapshot_io_error("load_sparse_snapshot: spanner target out of range");
             const NodeId target = static_cast<NodeId>(prev + static_cast<NodeId>(delta));
             const std::uint64_t weight = row.varint_u64();
             if (weight >= static_cast<std::uint64_t>(kInfinity))
-                throw snapshot_io_error("read_sparse_snapshot: edge weight out of range");
+                throw snapshot_io_error("load_sparse_snapshot: edge weight out of range");
             if (snapshot.edges.size() >= m)
                 throw snapshot_io_error(
-                    "read_sparse_snapshot: more edges than the declared count");
+                    "load_sparse_snapshot: more edges than the declared count");
             snapshot.edges.push_back({static_cast<NodeId>(u), target,
                                       static_cast<Weight>(weight)});
             prev = target;
         }
     }
     if (snapshot.edges.size() != m)
-        throw snapshot_io_error("read_sparse_snapshot: fewer edges than the declared count");
+        throw snapshot_io_error("load_sparse_snapshot: fewer edges than the declared count");
     return snapshot;
 }
 
@@ -828,134 +804,100 @@ void write_sparse_snapshot(std::ostream& out, const SparseSnapshot& snapshot)
                    "write_sparse_snapshot");
 }
 
-SparseSnapshot read_sparse_snapshot(std::istream& in)
-{
-    obs::TraceSpan span("snapshot/read_sparse", "serve");
-    const Envelope envelope = read_envelope(in, "read_sparse_snapshot");
-    if (envelope.version == format_version(SnapshotFormat::v1_raw) ||
-        envelope.version == format_version(SnapshotFormat::v2_compressed))
-        throw snapshot_io_error("read_sparse_snapshot: format version " +
-                                std::to_string(envelope.version) +
-                                " is a dense snapshot; load it with load_snapshot");
-    if (envelope.version != format_version(SnapshotFormat::v3_spanner))
-        throw_unknown_version("read_sparse_snapshot", envelope.version);
-    try {
-        return decode_payload_v3(envelope.payload);
-    } catch (const decode_error& error) {
-        throw snapshot_io_error(std::string("read_sparse_snapshot: ") + error.what());
-    }
-}
-
 void save_sparse_snapshot(const std::string& path, const SparseSnapshot& snapshot)
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) throw snapshot_io_error("save_sparse_snapshot: cannot open " + path);
-    write_sparse_snapshot(out, snapshot);
-    out.flush();
-    if (!out) throw snapshot_io_error("save_sparse_snapshot: write to " + path + " failed");
+    replace_file(path, "save_sparse_snapshot",
+                 [&](std::ostream& out) { write_sparse_snapshot(out, snapshot); });
 }
 
 SparseSnapshot load_sparse_snapshot(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw snapshot_io_error("load_sparse_snapshot: cannot open " + path);
-    return read_sparse_snapshot(in);
+    obs::TraceSpan span("snapshot/read_sparse", "serve");
+    const MappedFile file(path, "load_sparse_snapshot");
+    const VerifiedPayload payload =
+        verify_envelope(file.bytes(), Family::sparse, "load_sparse_snapshot");
+    try {
+        return decode_payload_v3(payload.bytes);
+    } catch (const decode_error& error) {
+        throw snapshot_io_error(std::string("load_sparse_snapshot: ") + error.what());
+    }
+}
+
+// --- mapped files -----------------------------------------------------------
+
+MappedFile::MappedFile(const std::string& path, const char* who)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) throw snapshot_io_error(std::string(who) + ": cannot open " + path);
+    struct stat info = {};
+    if (::fstat(fd, &info) != 0) {
+        ::close(fd);
+        throw snapshot_io_error(std::string(who) + ": cannot stat " + path);
+    }
+    size_ = static_cast<std::size_t>(info.st_size);
+    // mmap rejects a zero length; an empty file stays an empty view.
+    if (size_ > 0) data_ = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
+    ::close(fd); // the mapping keeps its own reference
+    if (data_ == MAP_FAILED) {
+        data_ = nullptr;
+        throw snapshot_io_error(std::string(who) + ": mmap failed for " + path);
+    }
+}
+
+MappedFile::~MappedFile()
+{
+    if (data_ != nullptr) ::munmap(data_, size_);
 }
 
 // --- MappedSnapshot ---------------------------------------------------------
 
-MappedSnapshot::MappedSnapshot(const std::string& path)
+MappedSnapshot::MappedSnapshot(const std::string& path) : file_(path, "MappedSnapshot")
 {
     obs::TraceSpan span("snapshot/mmap_open", "serve");
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) throw snapshot_io_error("MappedSnapshot: cannot open " + path);
-    struct stat info = {};
-    if (::fstat(fd, &info) != 0) {
-        ::close(fd);
-        throw snapshot_io_error("MappedSnapshot: cannot stat " + path);
-    }
-    map_size_ = static_cast<std::size_t>(info.st_size);
-    file_bytes_ = static_cast<std::uint64_t>(info.st_size);
-    if (map_size_ < kHeaderBytes + kFooterBytes) {
-        ::close(fd);
-        throw snapshot_io_error("MappedSnapshot: truncated header");
-    }
-    map_ = ::mmap(nullptr, map_size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd); // the mapping keeps its own reference
-    if (map_ == MAP_FAILED) {
-        map_ = nullptr;
-        throw snapshot_io_error("MappedSnapshot: mmap failed for " + path);
-    }
+    const VerifiedPayload verified =
+        verify_envelope(file_.bytes(), Family::dense, "MappedSnapshot");
+    version_ = verified.version;
+    payload_ = verified.bytes;
 
+    // The checksum covers every byte read below and every row decoded
+    // later.
+    ByteReader reader(payload_);
     try {
-        const char* bytes = static_cast<const char*>(map_);
-        if (std::memcmp(bytes, kMagic.data(), kMagic.size()) != 0)
-            throw snapshot_io_error("MappedSnapshot: bad magic (not a ccq snapshot)");
-        ByteReader header(std::string_view(bytes + kMagic.size(), 4 + 8));
-        version_ = header.u32();
-        if (version_ == ccq::format_version(SnapshotFormat::v3_spanner))
-            throw snapshot_io_error(
-                "MappedSnapshot: format version 3 stores a sparse spanner, not a dense "
-                "matrix; load it with load_sparse_snapshot or open_distance_source");
-        if (version_ != ccq::format_version(SnapshotFormat::v1_raw) &&
-            version_ != ccq::format_version(SnapshotFormat::v2_compressed))
-            throw_unknown_version("MappedSnapshot", version_);
-        const std::uint64_t payload_size = header.u64();
-        if (payload_size != map_size_ - kHeaderBytes - kFooterBytes)
-            throw snapshot_io_error(
-                "MappedSnapshot: payload length does not match the file size");
-        payload_ = bytes + kHeaderBytes;
-        payload_size_ = static_cast<std::size_t>(payload_size);
-
-        // One sequential pass at open: afterwards every lazily decoded row
-        // is covered by the verified checksum.
-        ByteReader footer(std::string_view(payload_ + payload_size_, kFooterBytes));
-        if (footer.u64() !=
-            traced_fnv1a_update(kFnvOffset, std::string_view(payload_, payload_size_)))
-            throw snapshot_io_error("MappedSnapshot: checksum mismatch (corrupted snapshot)");
-
-        const std::string_view payload(payload_, payload_size_);
-        ByteReader reader(payload);
-        try {
-            meta_ = decode_meta(reader);
-            const int n = meta_.node_count;
-            if (version_ == ccq::format_version(SnapshotFormat::v1_raw)) {
-                // v1 cells are later read in place with no per-read
-                // validation, so every cell is checked here.
-                const V1Layout layout = read_v1_layout(reader, n);
-                v1_estimate_offset_ = layout.estimate_offset;
-                v1_routing_offset_ = layout.routing_offset;
-                has_routing_ = layout.has_routing;
-            } else {
-                const V2Section estimate = read_v2_section(reader, n, "estimate");
-                est_row_offsets_.assign(estimate.row_offsets.begin(),
-                                        estimate.row_offsets.end());
-                est_blob_offset_ = estimate.blob_offset;
-                est_rows_ = std::make_unique<WeightRowSlot[]>(static_cast<std::size_t>(n));
-                has_routing_ = decode_flag(reader, "routing flag");
-                if (has_routing_) {
-                    const V2Section routing = read_v2_section(reader, n, "routing");
-                    hop_row_offsets_.assign(routing.row_offsets.begin(),
-                                            routing.row_offsets.end());
-                    hop_blob_offset_ = routing.blob_offset;
-                    hop_rows_ = std::make_unique<HopRowSlot[]>(static_cast<std::size_t>(n));
-                }
+        meta_ = decode_meta(reader, "MappedSnapshot");
+        const int n = meta_.node_count;
+        if (version_ == ccq::format_version(SnapshotFormat::v1_raw)) {
+            // v1 cells are later read in place with no per-read
+            // validation, so every cell is checked here.
+            const V1Layout layout = read_v1_layout(reader, n);
+            v1_estimate_offset_ = layout.estimate_offset;
+            v1_routing_offset_ = layout.routing_offset;
+            has_routing_ = layout.has_routing;
+        } else {
+            V2Section estimate = read_v2_section(reader, n, "estimate");
+            est_row_offsets_ = std::move(estimate.row_offsets);
+            est_blob_offset_ = estimate.blob_offset;
+            est_rows_ = std::make_unique<WeightRowSlot[]>(static_cast<std::size_t>(n));
+            has_routing_ = decode_flag(reader, "routing flag");
+            if (has_routing_) {
+                V2Section routing = read_v2_section(reader, n, "routing");
+                hop_row_offsets_ = std::move(routing.row_offsets);
+                hop_blob_offset_ = routing.blob_offset;
+                hop_rows_ = std::make_unique<HopRowSlot[]>(static_cast<std::size_t>(n));
             }
-            if (!reader.exhausted())
-                throw snapshot_io_error("read_snapshot: trailing bytes after payload");
-        } catch (const decode_error& error) {
-            throw snapshot_io_error(std::string("MappedSnapshot: ") + error.what());
         }
-    } catch (...) {
-        ::munmap(map_, map_size_);
-        map_ = nullptr;
-        throw;
+        if (!reader.exhausted())
+            throw snapshot_io_error("MappedSnapshot: trailing bytes after payload");
+    } catch (const decode_error& error) {
+        throw snapshot_io_error(std::string("MappedSnapshot: ") + error.what());
     }
 }
 
-MappedSnapshot::~MappedSnapshot()
+std::string_view MappedSnapshot::v2_row(const std::vector<std::size_t>& row_offsets,
+                                        std::size_t blob_offset, NodeId u) const
 {
-    if (map_ != nullptr) ::munmap(map_, map_size_);
+    const std::size_t begin = row_offsets[static_cast<std::size_t>(u)];
+    const std::size_t end = row_offsets[static_cast<std::size_t>(u) + 1];
+    return payload_.substr(blob_offset + begin, end - begin);
 }
 
 void MappedSnapshot::check_node(NodeId v, const char* what) const
@@ -967,17 +909,9 @@ const std::vector<Weight>& MappedSnapshot::estimate_row(NodeId u) const
 {
     WeightRowSlot& slot = est_rows_[static_cast<std::size_t>(u)];
     std::call_once(slot.once, [&] {
-        const int n = meta_.node_count;
-        const std::size_t begin = est_row_offsets_[static_cast<std::size_t>(u)];
-        const std::size_t end = est_row_offsets_[static_cast<std::size_t>(u) + 1];
-        std::vector<Weight> cells(static_cast<std::size_t>(n));
-        try {
-            decode_weight_row(
-                std::string_view(payload_ + est_blob_offset_ + begin, end - begin), n,
-                cells.data());
-        } catch (const decode_error& error) {
-            throw snapshot_io_error(std::string("MappedSnapshot: ") + error.what());
-        }
+        std::vector<Weight> cells(static_cast<std::size_t>(meta_.node_count));
+        decode_weight_row(v2_row(est_row_offsets_, est_blob_offset_, u), meta_.node_count,
+                          cells.data());
         slot.cells = std::move(cells);
     });
     return slot.cells;
@@ -987,16 +921,9 @@ const std::vector<NodeId>& MappedSnapshot::hop_row(NodeId u) const
 {
     HopRowSlot& slot = hop_rows_[static_cast<std::size_t>(u)];
     std::call_once(slot.once, [&] {
-        const int n = meta_.node_count;
-        const std::size_t begin = hop_row_offsets_[static_cast<std::size_t>(u)];
-        const std::size_t end = hop_row_offsets_[static_cast<std::size_t>(u) + 1];
-        std::vector<NodeId> hops(static_cast<std::size_t>(n));
-        try {
-            decode_hop_row(std::string_view(payload_ + hop_blob_offset_ + begin, end - begin),
-                           n, hops.data());
-        } catch (const decode_error& error) {
-            throw snapshot_io_error(std::string("MappedSnapshot: ") + error.what());
-        }
+        std::vector<NodeId> hops(static_cast<std::size_t>(meta_.node_count));
+        decode_hop_row(v2_row(hop_row_offsets_, hop_blob_offset_, u), meta_.node_count,
+                       hops.data());
         slot.hops = std::move(hops);
     });
     return slot.hops;
@@ -1010,8 +937,7 @@ Weight MappedSnapshot::distance(NodeId from, NodeId to) const
         const std::size_t cell = static_cast<std::size_t>(from) *
                                      static_cast<std::size_t>(meta_.node_count) +
                                  static_cast<std::size_t>(to);
-        ByteReader reader(std::string_view(payload_ + v1_estimate_offset_ + cell * 8, 8));
-        return reader.i64();
+        return load_le<Weight>(payload_.data() + v1_estimate_offset_ + cell * 8);
     }
     return estimate_row(from)[static_cast<std::size_t>(to)];
 }
@@ -1025,8 +951,7 @@ NodeId MappedSnapshot::next_hop(NodeId from, NodeId to) const
         const std::size_t cell = static_cast<std::size_t>(from) *
                                      static_cast<std::size_t>(meta_.node_count) +
                                  static_cast<std::size_t>(to);
-        ByteReader reader(std::string_view(payload_ + v1_routing_offset_ + cell * 4, 4));
-        return reader.i32();
+        return load_le<NodeId>(payload_.data() + v1_routing_offset_ + cell * 4);
     }
     return hop_row(from)[static_cast<std::size_t>(to)];
 }
@@ -1055,7 +980,28 @@ std::vector<NodeId> MappedSnapshot::route(NodeId from, NodeId to) const
 
 OracleSnapshot MappedSnapshot::materialize() const
 {
-    return decode_payload(version_, std::string_view(payload_, payload_size_));
+    const int n = meta_.node_count;
+    const std::size_t cells = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+    OracleSnapshot snapshot;
+    snapshot.meta = meta_;
+    snapshot.estimate = DistanceMatrix::uninitialized(n);
+    snapshot.has_routing = has_routing_;
+    std::vector<NodeId> hops(has_routing_ ? cells : 0);
+    if (version_ == ccq::format_version(SnapshotFormat::v1_raw)) {
+        copy_cells(snapshot.estimate.data(), payload_.substr(v1_estimate_offset_, cells * 8));
+        if (has_routing_) copy_cells(hops.data(), payload_.substr(v1_routing_offset_, cells * 4));
+    } else {
+        for (NodeId u = 0; u < n; ++u) {
+            const std::size_t row = static_cast<std::size_t>(u) * static_cast<std::size_t>(n);
+            decode_weight_row(v2_row(est_row_offsets_, est_blob_offset_, u), n,
+                              snapshot.estimate.data() + row);
+            if (has_routing_)
+                decode_hop_row(v2_row(hop_row_offsets_, hop_blob_offset_, u), n,
+                               hops.data() + row);
+        }
+    }
+    if (has_routing_) snapshot.routing = RoutingTables(n, std::move(hops));
+    return snapshot;
 }
 
 } // namespace ccq

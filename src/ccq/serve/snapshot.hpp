@@ -27,12 +27,17 @@
 // O(k n^{1+1/k}) cells instead of n^2 — distances are reconstructed at
 // query time by SpannerDistanceSource (serve/distance_source.hpp).
 //
-// Dense readers accept versions 1 and 2 and reject everything else
-// (including v3, with a pointer at the sparse loader) with
-// snapshot_io_error naming the found version; a successful load
-// round-trips bitwise.  MappedSnapshot serves version 1 or 2 straight
-// from an mmap'd file: integrity is verified once at open, and v2 rows
-// are decoded on first touch (decode-once, thread-safe).
+// Every read maps the file and verifies the envelope once (magic,
+// version, payload length against the file size, checksum) before any
+// payload byte is decoded.  Dense readers accept versions 1 and 2 and
+// reject everything else (including v3, with a pointer at the sparse
+// loader) with snapshot_io_error naming the found version; a successful
+// load round-trips bitwise.  MappedSnapshot serves version 1 or 2
+// straight from the mapping: v2 rows are decoded on first touch
+// (decode-once, thread-safe).  load_snapshot is MappedSnapshot(path)
+// .materialize(): the same open, then every cell copied out.  Writers
+// replace the file by moving a finished temporary over it, so a reader
+// that has the old file mapped keeps the old bytes.
 #ifndef CCQ_SERVE_SNAPSHOT_HPP
 #define CCQ_SERVE_SNAPSHOT_HPP
 
@@ -42,6 +47,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ccq/core/apsp_result.hpp"
@@ -119,10 +125,16 @@ struct OracleSnapshot {
 
 void write_snapshot(std::ostream& out, const OracleSnapshot& snapshot,
                     SnapshotFormat format = SnapshotFormat::v1_raw);
-[[nodiscard]] OracleSnapshot read_snapshot(std::istream& in);
 
+/// Writes `snapshot` to a temporary file next to `path`, then moves it
+/// over `path` in one step (no partial file is ever visible there, and a
+/// process mapping the old file keeps its bytes; the temporary is
+/// removed on failure).
 void save_snapshot(const std::string& path, const OracleSnapshot& snapshot,
                    SnapshotFormat format = SnapshotFormat::v1_raw);
+
+/// MappedSnapshot(path).materialize(): maps and verifies the file, then
+/// copies every cell into memory.
 [[nodiscard]] OracleSnapshot load_snapshot(const std::string& path);
 
 /// A persisted sparse oracle (format v3): the spanner edge list plus the
@@ -163,25 +175,47 @@ struct SparseSnapshot {
 };
 
 void write_sparse_snapshot(std::ostream& out, const SparseSnapshot& snapshot);
-[[nodiscard]] SparseSnapshot read_sparse_snapshot(std::istream& in);
 
+/// Same temporary-then-rename replacement as save_snapshot.
 void save_sparse_snapshot(const std::string& path, const SparseSnapshot& snapshot);
+
+/// Maps the file, verifies its envelope, and decodes the v3 payload.
 [[nodiscard]] SparseSnapshot load_sparse_snapshot(const std::string& path);
+
+/// A whole file mapped read-only and privately; unmapped on destruction.
+/// An empty file maps to no bytes.
+class MappedFile {
+public:
+    /// Throws snapshot_io_error, prefixed with `who`, when the file
+    /// cannot be opened, stat'ed or mapped.
+    MappedFile(const std::string& path, const char* who);
+    ~MappedFile();
+    MappedFile(const MappedFile&) = delete;
+    MappedFile& operator=(const MappedFile&) = delete;
+
+    [[nodiscard]] std::string_view bytes() const noexcept
+    {
+        return {static_cast<const char*>(data_), size_};
+    }
+
+private:
+    void* data_ = nullptr;
+    std::size_t size_ = 0;
+};
 
 /// An oracle served directly from an mmap'd snapshot file.
 ///
 /// Opening verifies the full envelope (magic, version, length, FNV-1a
-/// checksum) and validates the row-offset tables, but does not
-/// materialize the n^2 estimate: version-1 cells are read in place, and
-/// version-2 rows are decoded on first touch into a per-row cache
-/// (std::call_once, so concurrent readers are safe and each row is
-/// decoded exactly once).  All accessors are const and thread-safe.
-/// Dense formats only; a v3 file loads via load_sparse_snapshot /
-/// open_distance_source instead.
+/// checksum), range-checks every v1 cell and validates the v2 row-offset
+/// tables, but does not materialize the n^2 estimate: version-1 cells
+/// are read in place, and version-2 rows are decoded on first touch into
+/// a per-row cache (std::call_once, so concurrent readers are safe and
+/// each row is decoded exactly once).  All accessors are const and
+/// thread-safe.  Dense formats only; a v3 file loads via
+/// load_sparse_snapshot / open_distance_source instead.
 class MappedSnapshot {
 public:
     explicit MappedSnapshot(const std::string& path);
-    ~MappedSnapshot();
     MappedSnapshot(const MappedSnapshot&) = delete;
     MappedSnapshot& operator=(const MappedSnapshot&) = delete;
 
@@ -189,7 +223,7 @@ public:
     [[nodiscard]] int node_count() const noexcept { return meta_.node_count; }
     [[nodiscard]] bool has_routing() const noexcept { return has_routing_; }
     [[nodiscard]] std::uint32_t format_version() const noexcept { return version_; }
-    [[nodiscard]] std::uint64_t file_bytes() const noexcept { return file_bytes_; }
+    [[nodiscard]] std::uint64_t file_bytes() const noexcept { return file_.bytes().size(); }
 
     /// Distance estimate for (from, to); kInfinity when unreachable.
     [[nodiscard]] Weight distance(NodeId from, NodeId to) const;
@@ -202,8 +236,9 @@ public:
     /// than n hops report unreachable (empty) instead of looping.
     [[nodiscard]] std::vector<NodeId> route(NodeId from, NodeId to) const;
 
-    /// Full eager decode into an in-memory snapshot (for tests and for
-    /// re-encoding under a different format).
+    /// Every cell copied into an in-memory snapshot, from the layout the
+    /// constructor validated: one copy per v1 section, or every v2 row
+    /// decoded straight into place (bypassing the row caches).
     [[nodiscard]] OracleSnapshot materialize() const;
 
 private:
@@ -218,14 +253,12 @@ private:
 
     [[nodiscard]] const std::vector<Weight>& estimate_row(NodeId u) const;
     [[nodiscard]] const std::vector<NodeId>& hop_row(NodeId u) const;
+    [[nodiscard]] std::string_view v2_row(const std::vector<std::size_t>& row_offsets,
+                                          std::size_t blob_offset, NodeId u) const;
     void check_node(NodeId v, const char* what) const;
 
-    // The mapped file; payload_ points into it.
-    void* map_ = nullptr;
-    std::size_t map_size_ = 0;
-    std::uint64_t file_bytes_ = 0;
-    const char* payload_ = nullptr;
-    std::size_t payload_size_ = 0;
+    MappedFile file_;
+    std::string_view payload_; ///< the verified payload, inside file_
     std::uint32_t version_ = 0;
 
     SnapshotMeta meta_;

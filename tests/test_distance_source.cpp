@@ -37,12 +37,24 @@ OracleSnapshot make_snapshot(const InstanceSpec& spec)
     return OracleSnapshot::from_result(g, result, options.seed, &routing);
 }
 
-SparseSnapshot sparse_round_trip(const SparseSnapshot& snapshot)
+/// The v3 bytes of `snapshot`.
+std::string sparse_bytes(const SparseSnapshot& snapshot)
 {
     std::ostringstream out(std::ios::binary);
     write_sparse_snapshot(out, snapshot);
-    std::istringstream in(out.str(), std::ios::binary);
-    return read_sparse_snapshot(in);
+    return out.str();
+}
+
+/// Loads `bytes` with load_sparse_snapshot, through a temporary file.
+SparseSnapshot sparse_from_bytes(const std::string& bytes)
+{
+    const testing::TempFile file("ccq_sparse_from_bytes.snap", bytes);
+    return load_sparse_snapshot(file.path());
+}
+
+SparseSnapshot sparse_round_trip(const SparseSnapshot& snapshot)
+{
+    return sparse_from_bytes(sparse_bytes(snapshot));
 }
 
 TEST(DistanceSource, DenseAndMappedAnswerBitwiseIdenticallyToTheSnapshot)
@@ -271,23 +283,21 @@ TEST(DistanceSource, UnknownVersionErrorsReportTheFoundVersion)
     Rng rng(2);
     const SparseSnapshot sparse =
         SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng), "baswana-sen", 2);
-    std::ostringstream out(std::ios::binary);
-    write_sparse_snapshot(out, sparse);
-    std::string bytes = out.str();
+    std::string bytes = sparse_bytes(sparse);
     bytes[8] = 9; // version u32 little-endian low byte: 3 -> 9
+    const testing::TempFile file("ccq_version_9.snap", bytes);
 
-    const auto expect_mentions_9 = [](const auto& loader, std::string bytes_copy) {
+    const auto expect_mentions_9 = [&](const auto& loader) {
         try {
-            std::istringstream in(bytes_copy, std::ios::binary);
-            (void)loader(in);
+            (void)loader(file.path());
             FAIL() << "unknown version accepted";
         } catch (const snapshot_io_error& error) {
             EXPECT_NE(std::string(error.what()).find('9'), std::string::npos)
                 << "error does not name the found version: " << error.what();
         }
     };
-    expect_mentions_9([](std::istream& in) { return read_snapshot(in); }, bytes);
-    expect_mentions_9([](std::istream& in) { return read_sparse_snapshot(in); }, bytes);
+    expect_mentions_9([](const std::string& path) { return load_snapshot(path); });
+    expect_mentions_9([](const std::string& path) { return load_sparse_snapshot(path); });
 }
 
 TEST(DistanceSource, V3CorruptionIsDetected)
@@ -296,21 +306,16 @@ TEST(DistanceSource, V3CorruptionIsDetected)
     Rng rng(4);
     const SparseSnapshot sparse =
         SparseSnapshot::from_spanner(g, baswana_sen_spanner(g, 2, rng), "baswana-sen", 4);
-    std::ostringstream out(std::ios::binary);
-    write_sparse_snapshot(out, sparse);
-    const std::string bytes = out.str();
+    const std::string bytes = sparse_bytes(sparse);
 
     // A flipped payload byte fails the checksum.
     std::string flipped = bytes;
     flipped[flipped.size() / 2] = static_cast<char>(flipped[flipped.size() / 2] ^ 0x20);
-    std::istringstream in_flipped(flipped, std::ios::binary);
-    EXPECT_THROW((void)read_sparse_snapshot(in_flipped), snapshot_io_error);
+    EXPECT_THROW((void)sparse_from_bytes(flipped), snapshot_io_error);
 
     // Truncation at any of several points fails cleanly.
-    for (const std::size_t keep : {bytes.size() - 1, bytes.size() / 2, std::size_t{10}}) {
-        std::istringstream in(bytes.substr(0, keep), std::ios::binary);
-        EXPECT_THROW((void)read_sparse_snapshot(in), snapshot_io_error);
-    }
+    for (const std::size_t keep : {bytes.size() - 1, bytes.size() / 2, std::size_t{10}})
+        EXPECT_THROW((void)sparse_from_bytes(bytes.substr(0, keep)), snapshot_io_error);
 }
 
 } // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "ccq/core/stretch.hpp"
@@ -54,6 +56,27 @@ inline void expect_valid_approximation(const DistanceMatrix& exact,
     EXPECT_LE(report.max_stretch, claimed + 1e-9)
         << context << ": measured stretch exceeds the claimed factor";
 }
+
+/// A file under the test temp directory holding `bytes`, removed when
+/// the object goes out of scope.  Snapshot readers map their input, so
+/// byte-level snapshot cases go through one of these.
+class TempFile {
+public:
+    TempFile(const std::string& name, const std::string& bytes)
+        : path_(::testing::TempDir() + name)
+    {
+        std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    ~TempFile() { std::remove(path_.c_str()); }
+    TempFile(const TempFile&) = delete;
+    TempFile& operator=(const TempFile&) = delete;
+
+    [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+private:
+    std::string path_;
+};
 
 } // namespace ccq::testing
 

@@ -1,10 +1,12 @@
 // Tests for the oracle snapshot format: round-trip fidelity, version
-// gating, and corruption detection (truncation, bit flips, bad magic).
+// gating, corruption detection (truncation, bit flips, bad magic), and
+// replacing a file that a reader still maps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
@@ -67,10 +69,11 @@ void rehash(std::string& bytes)
             static_cast<char>((hash >> (8 * i)) & 0xff);
 }
 
+/// Loads `bytes` with load_snapshot, through a temporary file.
 OracleSnapshot from_bytes(const std::string& bytes)
 {
-    std::istringstream in(bytes, std::ios::binary);
-    return read_snapshot(in);
+    const testing::TempFile file("ccq_snapshot_from_bytes.snap", bytes);
+    return load_snapshot(file.path());
 }
 
 void expect_equal(const OracleSnapshot& a, const OracleSnapshot& b)
@@ -677,6 +680,96 @@ TEST_F(SnapshotMmap, QueryEngineOverMmapMatchesInMemoryEngine)
         ASSERT_EQ(served.nearest_targets(u, 5), reference.nearest_targets(u, 5));
     }
     std::remove(path.c_str());
+}
+
+// --- rewriting a file under a live mapping ----------------------------------
+//
+// A served snapshot may be rebuilt in place.  The writers rename a
+// finished temporary over the path, so a process that still maps the
+// old file keeps reading the bytes its checksum covered, a file that
+// shrinks cannot fault the old mapping past its new end, and the next
+// open reads the new file.
+
+/// Every estimate cell and next hop of `mapped` equals `expected`'s.
+void expect_mapping_answers(const MappedSnapshot& mapped, const OracleSnapshot& expected)
+{
+    const int n = expected.meta.node_count;
+    ASSERT_EQ(mapped.node_count(), n);
+    for (NodeId u = 0; u < n; ++u)
+        for (NodeId v = 0; v < n; ++v) {
+            ASSERT_EQ(mapped.distance(u, v), expected.estimate.at(u, v)) << u << "->" << v;
+            ASSERT_EQ(mapped.next_hop(u, v), expected.routing.next_hop(u, v)) << u << "->" << v;
+        }
+}
+
+TEST_F(SnapshotMmap, SavingOverAMappedFileLeavesTheMappingOnItsOwnBytes)
+{
+    const OracleSnapshot original =
+        make_snapshot(InstanceSpec{GraphFamily::erdos_renyi_sparse, 40, 13});
+    // Same node count and meta, every finite off-diagonal cell moved: the
+    // v1 file has the same size and different cells.
+    OracleSnapshot same_size = original;
+    for (NodeId u = 0; u < 40; ++u)
+        for (NodeId v = 0; v < 40; ++v)
+            if (u != v && same_size.estimate.at(u, v) < kInfinity) ++same_size.estimate.at(u, v);
+    const OracleSnapshot smaller =
+        make_snapshot(InstanceSpec{GraphFamily::erdos_renyi_sparse, 20, 5});
+
+    for (const SnapshotFormat codec : {SnapshotFormat::v1_raw, SnapshotFormat::v2_compressed}) {
+        for (const OracleSnapshot* replacement :
+             std::initializer_list<const OracleSnapshot*>{&same_size, &smaller}) {
+            const std::string path = write_file(original, codec, "ccq_mmap_rewrite.snap");
+            const std::uintmax_t old_size = std::filesystem::file_size(path);
+            const MappedSnapshot mapped(path);
+            save_snapshot(path, *replacement, codec);
+            if (codec == SnapshotFormat::v1_raw && replacement == &same_size) {
+                ASSERT_EQ(std::filesystem::file_size(path), old_size);
+            }
+            if (replacement == &smaller) {
+                ASSERT_LT(std::filesystem::file_size(path), old_size);
+            }
+            expect_mapping_answers(mapped, original);
+            expect_mapping_answers(MappedSnapshot(path), *replacement);
+            expect_equal(*replacement, load_snapshot(path));
+            std::remove(path.c_str());
+        }
+    }
+}
+
+TEST_F(SnapshotMmap, SavingASparseSnapshotOverAMappedFileKeepsTheMapping)
+{
+    // save_sparse_snapshot replaces the file the same way.
+    const OracleSnapshot dense = make_snapshot(InstanceSpec{GraphFamily::tree, 12, 1});
+    const std::string path = write_file(dense, SnapshotFormat::v1_raw, "ccq_rewrite_kind.snap");
+    const MappedSnapshot mapped(path);
+    SparseSnapshot sparse;
+    sparse.meta = dense.meta;
+    sparse.meta.algorithm = "spanner-fixture";
+    sparse.construction = "fixture";
+    sparse.edges = {{0, 1, 3}, {1, 5, 2}};
+    save_sparse_snapshot(path, sparse);
+    expect_mapping_answers(mapped, dense);
+    EXPECT_EQ(load_sparse_snapshot(path), sparse);
+    std::remove(path.c_str());
+}
+
+TEST_F(SnapshotMmap, AFailedSaveLeavesNoTemporaryBehind)
+{
+    // Renaming a file over a directory fails after the temporary was
+    // written; the writer must remove it and leave the directory alone.
+    const std::filesystem::path dir = ::testing::TempDir() + "ccq_save_over_dir.snap";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directory(dir);
+    const OracleSnapshot snapshot = make_snapshot(InstanceSpec{GraphFamily::tree, 12, 1});
+    EXPECT_THROW(save_snapshot(dir.string(), snapshot), snapshot_io_error);
+    EXPECT_THROW(save_snapshot(::testing::TempDir() + "no_such_dir/ccq.snap", snapshot),
+                 snapshot_io_error);
+    for (const auto& entry : std::filesystem::directory_iterator(dir.parent_path()))
+        EXPECT_EQ(entry.path().filename().string().rfind("ccq_save_over_dir.snap.tmp", 0),
+                  std::string::npos)
+            << "left behind: " << entry.path();
+    EXPECT_TRUE(std::filesystem::is_directory(dir));
+    std::filesystem::remove_all(dir);
 }
 
 // --- multi-megabyte files ---------------------------------------------------

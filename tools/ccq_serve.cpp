@@ -931,8 +931,10 @@ int cmd_bench(Args& args)
     if (trace_every > 0 && rate <= 0.0)
         throw std::runtime_error("bench: --trace-every needs --rate (open-loop load)");
 
-    // Load (timed): eagerly, just the mmap open + integrity pass, or —
-    // for a v3 file — the sparse decode + CSR build.
+    // Load (timed).  Every mode maps the file and verifies its envelope
+    // once.  Eager then copies every cell into memory, --mmap stops after
+    // the open (v1 cell scan, v2 offset tables), and a v3 file is
+    // decoded and built into its CSR.
     const std::uint64_t file_bytes =
         static_cast<std::uint64_t>(std::filesystem::file_size(*snapshot_path));
     const SnapshotFormat format = peek_snapshot_format(*snapshot_path);
